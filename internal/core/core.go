@@ -96,7 +96,9 @@ type Result struct {
 	Optimal bool
 	// SolverNodes is the number of SAT search nodes (independent only).
 	SolverNodes int64
-	// FormulaClauses is the provenance formula size (independent only).
+	// FormulaClauses is the number of distinct CNF clauses handed to the
+	// solver (independent only). A clause derived for several delta tuples
+	// counts once; tautologies are not counted.
 	FormulaClauses int
 	// GraphAssignments is the provenance graph size (step only).
 	GraphAssignments int

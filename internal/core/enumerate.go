@@ -64,8 +64,9 @@ type RepairSpace struct {
 	Optimal bool
 	// SolverNodes totals search nodes across all solver calls.
 	SolverNodes int64
-	// FormulaClauses is the provenance formula size (built once and shared
-	// by every solve).
+	// FormulaClauses is the number of distinct CNF clauses handed to the
+	// first solve, as in Result.FormulaClauses (the CNF is built once and
+	// shared by every solve; blocking clauses are not counted).
 	FormulaClauses int
 	// Timing is the phase breakdown; Solve spans all solver calls and
 	// Update spans materializing every repair.
@@ -184,7 +185,7 @@ func enumerateRepairs(ctx context.Context, db *engine.Database, prep *datalog.Pr
 		Complete:       enum.Complete,
 		Optimal:        enum.Optimal,
 		SolverNodes:    enum.Nodes,
-		FormulaClauses: ic.formula.Len(),
+		FormulaClauses: ic.clauses,
 	}
 	updStart := time.Now()
 	for _, sol := range enum.Solutions {
@@ -195,7 +196,7 @@ func enumerateRepairs(ctx context.Context, db *engine.Database, prep *datalog.Pr
 		res := newResult(SemIndependent, deleted)
 		res.Optimal = sol.Optimal
 		res.SolverNodes = sol.Nodes
-		res.FormulaClauses = ic.formula.Len()
+		res.FormulaClauses = ic.clauses
 		res.RepairCost = sol.WeightedCost
 		space.Repairs = append(space.Repairs, res)
 	}

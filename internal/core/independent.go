@@ -20,9 +20,10 @@ type IndependentOptions struct {
 	// mirroring the paper's remark that any satisfying assignment
 	// stabilizes the database.
 	MaxNodes int64
-	// MaxClauses caps the provenance formula size; 0 means
-	// DefaultMaxClauses. Exceeding the cap is an error (the positivized
-	// join blew up; rescale the workload).
+	// MaxClauses caps the number of distinct CNF clauses the provenance
+	// sweep hands the solver (the count Result.FormulaClauses reports); 0
+	// means DefaultMaxClauses. Exceeding the cap is an error (the
+	// positivized join blew up; rescale the workload).
 	MaxClauses int
 	// DisablePreferDerivable turns off the tie-breaking preference for
 	// end-derivable tuples. With the preference on (default), when several
@@ -38,7 +39,7 @@ type IndependentOptions struct {
 	Weight func(*engine.Tuple) int64
 }
 
-// DefaultMaxClauses bounds the provenance formula of Algorithm 1.
+// DefaultMaxClauses bounds the provenance CNF of Algorithm 1.
 const DefaultMaxClauses = 5_000_000
 
 // RunIndependent computes Ind(P, D) with Algorithm 1: store the DNF
@@ -63,9 +64,9 @@ func RunIndependent(db *engine.Database, p *datalog.Program, opts IndependentOpt
 // (runIndependent) and the repair-space enumerator (enumerateRepairs): both
 // must see the byte-identical formula so their first solutions agree.
 type indCNF struct {
-	formula    *provenance.Formula
 	cnf        *sat.Formula
-	ids        []engine.TupleID
+	clauses    int              // distinct clauses handed to the solver, before any blocking clause
+	ids        []engine.TupleID // SAT variable v names tuple ids[v-1]
 	varOf      map[engine.TupleID]int
 	preDeleted map[engine.TupleID]bool
 	prefer     []int
@@ -75,155 +76,45 @@ type indCNF struct {
 }
 
 // buildIndependentCNF runs phases 1–2 of Algorithm 1 (Eval + ProcessProv)
-// and assembles the solver inputs.
+// and assembles the solver inputs. Eval covers the provenance sweep, which
+// negates each assignment into the CNF as it is emitted; ProcessProv covers
+// the forced pre-deletions and the solver's tie preference.
 func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog.Prepared, par int, opts IndependentOptions) (*indCNF, error) {
 	maxClauses := opts.MaxClauses
 	if maxClauses <= 0 {
 		maxClauses = DefaultMaxClauses
 	}
-
-	// Phase 1 (Eval): provenance of all possible delta tuples (line 1 of
-	// Algorithm 1) — one positivized evaluation pass per rule. Delta atoms
-	// range over every *possible* deletion: all live base tuples plus any
-	// tuples already deleted before this run (the §3.6 "user deletes a
-	// specific set of tuples" initialization); the latter are forced
-	// deleted in the CNF below. Rules are independent here, so with
-	// par > 1 each rule's sweep runs on a worker; per-rule clause buffers
-	// are merged in rule order, keeping the formula (and therefore SAT
-	// variable numbering and the solver's tie-breaking) byte-identical to
-	// the sequential sweep.
 	evalStart := time.Now()
-	formula := provenance.NewFormula()
-	if par > 1 && len(prep.Rules) > 1 {
-		// Concurrent sweeps read base and delta relations: build the probed
-		// indexes up front (and flush bucket staleness from any earlier
-		// deletions) so lookups perform no writes.
-		prep.WarmFromBaseIndexes(db)
-		// Each worker dedups its rule's clauses into a private formula —
-		// the same canonical dedup the merged formula applies — so the cap
-		// check counts distinct clauses exactly like the sequential sweep
-		// (a self-join emits each clause body twice but stores it once). A
-		// single rule exceeding the cap on its own distinct clauses dooms
-		// the merged total, so stopping that rule early is safe.
-		allRules := make([]int, len(prep.Rules))
-		for ri := range prep.Rules {
-			allRules[ri] = ri
-		}
-		locals := make([]*provenance.Formula, len(prep.Rules))
-		overflow := make([]bool, len(prep.Rules))
-		errs := forEachRuleParallel(prep, par, allRules,
-			func(ri int, ec *datalog.ExecContext) error {
-				if err := ctxErr(ctx); err != nil {
-					return err
-				}
-				locals[ri] = provenance.NewFormula()
-				emitted := 0
-				return prep.Rules[ri].EvalFromBase(db, true, ec, func(asn *datalog.Assignment) bool {
-					locals[ri].Add(asn.Head().TID, provenance.ClauseOf(asn))
-					if locals[ri].Len() > maxClauses {
-						overflow[ri] = true
-						return false
-					}
-					emitted++
-					return emitted%evalCheckEvery != 0 || ctxErr(ctx) == nil
-				})
-			})
-		for ri := range prep.Rules {
-			if errs[ri] != nil {
-				return nil, errs[ri]
-			}
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-			if overflow[ri] {
-				return nil, fmt.Errorf("core: provenance formula exceeded %d clauses", maxClauses)
-			}
-			for ci, c := range locals[ri].Clauses {
-				formula.Add(locals[ri].Heads[ci], c)
-			}
-			if formula.Len() > maxClauses {
-				return nil, fmt.Errorf("core: provenance formula exceeded %d clauses", maxClauses)
-			}
-		}
-	} else {
-		ec := prep.AcquireContext()
-		var evalErr error
-		for _, pr := range prep.Rules {
-			if err := ctxErr(ctx); err != nil {
-				prep.ReleaseContext(ec)
-				return nil, err
-			}
-			emitted := 0
-			err := pr.EvalFromBase(db, true, ec, func(asn *datalog.Assignment) bool {
-				formula.Add(asn.Head().TID, provenance.ClauseOf(asn))
-				if formula.Len() > maxClauses {
-					evalErr = fmt.Errorf("core: provenance formula exceeded %d clauses", maxClauses)
-					return false
-				}
-				emitted++
-				return emitted%evalCheckEvery != 0 || ctxErr(ctx) == nil
-			})
-			if err != nil {
-				prep.ReleaseContext(ec)
-				return nil, err
-			}
-			if evalErr != nil {
-				prep.ReleaseContext(ec)
-				return nil, evalErr
-			}
-		}
-		prep.ReleaseContext(ec)
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-	}
-	evalDur := time.Since(evalStart)
-
-	// Phase 2 (ProcessProv): negate into CNF over deletion variables
-	// (lines 2–4): clause (t₁ ∧ … ∧ ¬d₁ ∧ …) negates to
-	// (x_t₁ ∨ … ∨ ¬x_d₁ ∨ …) where x_t means "t is deleted". SAT variables
-	// map 1:1 to interned tuple IDs (numbered by first occurrence); no
-	// string keys exist anywhere on this path.
-	ppStart := time.Now()
-	if err := ctxErr(ctx); err != nil {
+	ic := &indCNF{cnf: sat.NewFormula(0), varOf: make(map[engine.TupleID]int)}
+	if err := ic.addProvenance(ctx, db, prep, maxClauses); err != nil {
 		return nil, err
 	}
-	ids := formula.TupleIDs()
-	varOf := make(map[engine.TupleID]int, len(ids))
-	for i, id := range ids {
-		varOf[id] = i + 1
-	}
-	cnf := sat.NewFormula(len(ids))
-	for _, c := range formula.Clauses {
-		lits := make([]int, 0, len(c.Pos)+len(c.Neg))
-		for _, id := range c.Pos {
-			lits = append(lits, varOf[id])
-		}
-		for _, id := range c.Neg {
-			lits = append(lits, -varOf[id])
-		}
-		if err := cnf.AddClause(lits...); err != nil {
-			return nil, err
-		}
-	}
+	ic.evalDur = time.Since(evalStart)
+
+	ppStart := time.Now()
 	// Pre-existing deletions are facts, not choices: force their
 	// variables true so the stability clauses respect them.
-	preDeleted := make(map[engine.TupleID]bool)
+	ic.preDeleted = make(map[engine.TupleID]bool)
+	var unitErr error
 	for _, rs := range db.Schema.Relations {
 		db.Delta(rs.Name).Scan(func(t *engine.Tuple) bool {
-			preDeleted[t.TID] = true
-			if v, ok := varOf[t.TID]; ok {
-				if err := cnf.AddClause(v); err != nil {
-					return false
-				}
+			ic.preDeleted[t.TID] = true
+			if v, ok := ic.varOf[t.TID]; ok {
+				unitErr = ic.cnf.AddClause(v)
 			}
-			return true
+			return unitErr == nil
 		})
+		if unitErr != nil {
+			return nil, unitErr
+		}
+	}
+	ic.clauses = ic.cnf.NumClauses()
+	if ic.clauses > maxClauses {
+		return nil, errTooManyClauses(maxClauses)
 	}
 
 	// Tie preference: try end-derivable tuples first (deepest layer first),
 	// steering equal-cost optima toward sets other semantics contain.
-	var prefer []int
 	if !opts.DisablePreferDerivable {
 		if _, _, graph, err := runEndCaptured(ctx, db, prep, true, par, 0); err == nil {
 			heads := append([]engine.TupleID(nil), graph.Heads...)
@@ -239,20 +130,19 @@ func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog
 				return idx[heads[i]] < idx[heads[j]]
 			})
 			for _, h := range heads {
-				if v, ok := varOf[h]; ok {
-					prefer = append(prefer, v)
+				if v, ok := ic.varOf[h]; ok {
+					ic.prefer = append(ic.prefer, v)
 				}
 			}
 		}
 	}
-	ppDur := time.Since(ppStart)
+	ic.ppDur = time.Since(ppStart)
 
 	// Optional weighted objective: minimum total weight instead of
 	// minimum cardinality.
-	var weights []int64
 	if opts.Weight != nil {
-		weights = make([]int64, len(ids)+1)
-		for i, id := range ids {
+		ic.weights = make([]int64, len(ic.ids)+1)
+		for i, id := range ic.ids {
 			t := db.LookupID(id)
 			w := int64(1)
 			if t != nil {
@@ -260,21 +150,63 @@ func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog
 					w = tw
 				}
 			}
-			weights[i+1] = w
+			ic.weights[i+1] = w
 		}
 	}
+	return ic, nil
+}
 
-	return &indCNF{
-		formula:    formula,
-		cnf:        cnf,
-		ids:        ids,
-		varOf:      varOf,
-		preDeleted: preDeleted,
-		prefer:     prefer,
-		weights:    weights,
-		evalDur:    evalDur,
-		ppDur:      ppDur,
-	}, nil
+// addProvenance is the provenance sweep of all possible delta tuples
+// (line 1 of Algorithm 1), negated into CNF over deletion variables (lines
+// 2–4) as each assignment is emitted (see provenance.NegatedClause). Delta
+// atoms range over every *possible* deletion: all live base tuples plus any
+// tuples already deleted before this run (the §3.6 "user deletes a specific
+// set of tuples" initialization). SAT variables map 1:1 to interned tuple
+// IDs, numbered on first sight, and the store keeps one copy of each
+// distinct clause.
+func (ic *indCNF) addProvenance(ctx context.Context, db *engine.Database, prep *datalog.Prepared, maxClauses int) error {
+	varFor := func(id engine.TupleID) int {
+		v, ok := ic.varOf[id]
+		if !ok {
+			v = ic.cnf.AddVar()
+			ic.varOf[id] = v
+			ic.ids = append(ic.ids, id)
+		}
+		return v
+	}
+	var lits []int
+	var addErr error
+	ec := prep.AcquireContext()
+	defer prep.ReleaseContext(ec)
+	for _, pr := range prep.Rules {
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+		emitted := 0
+		err := pr.EvalFromBase(db, true, ec, func(asn *datalog.Assignment) bool {
+			lits = provenance.NegatedClause(lits[:0], asn, varFor)
+			if addErr = ic.cnf.AddClause(lits...); addErr != nil {
+				return false
+			}
+			if ic.cnf.NumClauses() > maxClauses {
+				addErr = errTooManyClauses(maxClauses)
+				return false
+			}
+			emitted++
+			return emitted%evalCheckEvery != 0 || ctxErr(ctx) == nil
+		})
+		if err != nil {
+			return err
+		}
+		if addErr != nil {
+			return addErr
+		}
+	}
+	return ctxErr(ctx)
+}
+
+func errTooManyClauses(maxClauses int) error {
+	return fmt.Errorf("core: provenance formula exceeded %d clauses", maxClauses)
 }
 
 // satOptions assembles the solver options for one Min-Ones search over the
@@ -342,7 +274,7 @@ func runIndependent(ctx context.Context, db *engine.Database, prep *datalog.Prep
 	res := newResult(SemIndependent, deleted)
 	res.Optimal = solved.Optimal
 	res.SolverNodes = solved.Nodes
-	res.FormulaClauses = ic.formula.Len()
+	res.FormulaClauses = ic.clauses
 	res.RepairCost = solved.WeightedCost
 	res.Timing = Breakdown{Eval: ic.evalDur, ProcessProv: ic.ppDur, Solve: solveDur, Update: updDur}
 	return res, work, nil

@@ -112,8 +112,9 @@ func TestPreparedRepeatedRunsShareState(t *testing.T) {
 // TestParallelIndependentWithStaleIndexes covers the pre-existing-deletion
 // initialization (§3.6) under parallelism: the caller's database already
 // has lazily built indexes with stale buckets from earlier deletions, and
-// warming must flush them so the concurrent sweep performs no writes (run
-// with -race).
+// warming must flush them so the concurrent phases (the derivable-tuple
+// preference and the stability verification) perform no writes (run with
+// -race).
 func TestParallelIndependentWithStaleIndexes(t *testing.T) {
 	db := programs.RunningExampleDB()
 	p, err := programs.RunningExampleProgram()

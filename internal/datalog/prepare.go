@@ -129,7 +129,6 @@ type Prepared struct {
 	// pre-builds its shape's requirements so lookups perform no writes.
 	reqs          []IndexReq // union of all shapes, deduplicated
 	seminaiveReqs []IndexReq // pass/naive plans: base + scratch targets
-	fromBaseReqs  []IndexReq // fromBase plans: base + delta targets
 
 	// readSet is the union of the rules' read-sets: every relation some
 	// rule body references. A base-table update that touches no read-set
@@ -262,12 +261,13 @@ func Prepare(p *Program, schema *engine.Schema) (*Prepared, error) {
 				}
 			}
 		}
-		var opReqs []IndexReq // operational probes fold into the union only
+		// Operational and fromBase probes fold into the union only. FromBase
+		// delta atoms may read base alone (views, stability formulas) or
+		// base ∪ delta (Algorithm 1 with pre-existing deletions); require
+		// both.
+		var opReqs, fromBaseReqs []IndexReq
 		collect(&opReqs, pr.operational, TargetDelta)
-		// FromBase delta atoms may read base alone (views, stability
-		// formulas) or base ∪ delta (Algorithm 1 with pre-existing
-		// deletions); require both.
-		collect(&pp.fromBaseReqs, pr.fromBase, TargetBase, TargetDelta)
+		collect(&fromBaseReqs, pr.fromBase, TargetBase, TargetDelta)
 		collect(&pp.seminaiveReqs, pr.naive, TargetScratch)
 		for _, pl := range pr.passes {
 			collect(&pp.seminaiveReqs, pl, TargetScratch)
@@ -402,13 +402,6 @@ func (pp *Prepared) WarmSeminaiveIndexes(db *engine.Database) {
 			}
 		}
 	}
-}
-
-// WarmFromBaseIndexes pre-builds the base- and delta-relation indexes the
-// FromBase plans probe. Required before Algorithm 1's parallel provenance
-// sweep.
-func (pp *Prepared) WarmFromBaseIndexes(db *engine.Database) {
-	warm(db, pp.fromBaseReqs)
 }
 
 // AcquireContext returns a pooled execution context for use with the

@@ -1,7 +1,8 @@
-// Package provenance implements the provenance representations of §5 of the
-// paper: Boolean-formula provenance (DNF per delta tuple, used by Algorithm
-// 1 for independent semantics) and the layered provenance graph with tuple
-// benefits (used by Algorithm 2 for step semantics).
+// Package provenance implements the provenance of §5 of the paper: the
+// per-assignment clause (ClauseOf) and the layered provenance graph with
+// tuple benefits used by Algorithm 2 for step semantics. Algorithm 1 negates
+// assignments straight into the SAT solver's clause store (internal/sat)
+// and keeps no provenance formula of its own.
 //
 // Throughout, tuples are identified by their interned engine.TupleID; a
 // delta tuple ∆(t) is identified by t's ID — delta relations share tuples
@@ -52,6 +53,27 @@ func ClauseOf(asn *datalog.Assignment) Clause {
 	return c
 }
 
+// NegatedClause appends the CNF clause of Algorithm 1 for asn to lits and
+// returns the grown slice: the provenance (t₁ ∧ … ∧ ¬d₁ ∧ …) negates to
+// (x_t₁ ∨ … ∨ ¬x_d₁ ∨ …), where x_t means "t is deleted" and varFor maps a
+// tuple to its SAT variable. Positive atoms come before delta atoms, each
+// in body order, so a varFor that numbers tuples on first sight numbers
+// them as ClauseOf lists them. Repeated literals are left for the clause
+// store to drop.
+func NegatedClause(lits []int, asn *datalog.Assignment, varFor func(engine.TupleID) int) []int {
+	for i, tp := range asn.Tuples {
+		if !asn.Rule.Body[i].Delta {
+			lits = append(lits, varFor(tp.TID))
+		}
+	}
+	for i, tp := range asn.Tuples {
+		if asn.Rule.Body[i].Delta {
+			lits = append(lits, -varFor(tp.TID))
+		}
+	}
+	return lits
+}
+
 // appendID appends one TupleID as 8 little-endian bytes.
 func appendID(buf []byte, id engine.TupleID) []byte {
 	return append(buf,
@@ -83,14 +105,6 @@ func appendSig(buf []byte, scratch []engine.TupleID, head engine.TupleID, c Clau
 	return buf, scratch
 }
 
-// sigKey builds the dedup map key "head | clause content" as a compact
-// binary string.
-func sigKey(head engine.TupleID, c Clause) string {
-	buf := make([]byte, 0, 24+8*(len(c.Pos)+len(c.Neg)))
-	buf, _ = appendSig(buf, nil, head, c)
-	return string(buf)
-}
-
 // String renders the clause as a conjunction of tuple IDs, e.g.
 // "t3 ∧ ¬t7" (debugging; resolve IDs through the database for readable
 // content keys).
@@ -103,62 +117,4 @@ func (c Clause) String() string {
 		parts = append(parts, fmt.Sprintf("¬t%d", id))
 	}
 	return strings.Join(parts, " ∧ ")
-}
-
-// Formula is the flat provenance of all possible delta tuples: one clause
-// per assignment, the disjunction of which is the formula F of Algorithm 1.
-// Heads records the delta tuple each clause derives (parallel to Clauses);
-// Algorithm 1 itself only needs the clause bodies, but heads are kept for
-// reporting and tests. A synthetic head of 0 is permitted (used by the
-// side-effect solver for view-witness clauses).
-type Formula struct {
-	Clauses []Clause
-	Heads   []engine.TupleID
-
-	seen       map[string]bool // canonical clause+head dedup
-	sigBuf     []byte          // reusable dedup-key scratch
-	sigScratch []engine.TupleID
-}
-
-// NewFormula creates an empty provenance formula.
-func NewFormula() *Formula {
-	return &Formula{seen: make(map[string]bool)}
-}
-
-// Add records the clause deriving head, deduplicating exact repeats. It
-// reports whether the clause was new.
-func (f *Formula) Add(head engine.TupleID, c Clause) bool {
-	f.sigBuf, f.sigScratch = appendSig(f.sigBuf[:0], f.sigScratch, head, c)
-	if f.seen[string(f.sigBuf)] { // compiler-optimized: no allocation on hit
-		return false
-	}
-	f.seen[string(f.sigBuf)] = true
-	f.Clauses = append(f.Clauses, c)
-	f.Heads = append(f.Heads, head)
-	return true
-}
-
-// Len returns the number of clauses.
-func (f *Formula) Len() int { return len(f.Clauses) }
-
-// TupleIDs returns every distinct tuple ID mentioned in the formula
-// (positively or negatively), in first-occurrence order.
-func (f *Formula) TupleIDs() []engine.TupleID {
-	var out []engine.TupleID
-	seen := make(map[engine.TupleID]bool)
-	add := func(id engine.TupleID) {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	for _, c := range f.Clauses {
-		for _, id := range c.Pos {
-			add(id)
-		}
-		for _, id := range c.Neg {
-			add(id)
-		}
-	}
-	return out
 }

@@ -70,43 +70,26 @@ func TestClauseOfDeduplicatesRepeatedTuples(t *testing.T) {
 
 func TestClauseSigOrderInsensitive(t *testing.T) {
 	a := Clause{Pos: []engine.TupleID{1, 2}, Neg: []engine.TupleID{3}}
-	b := Clause{Pos: []engine.TupleID{2, 1}, Neg: []engine.TupleID{3}}
-	if sigKey(9, a) != sigKey(9, b) {
+	g := NewGraph()
+	if !g.AddDerivation(9, 1, a) {
+		t.Fatal("first derivation should be recorded")
+	}
+	if g.AddDerivation(9, 1, Clause{Pos: []engine.TupleID{2, 1}, Neg: []engine.TupleID{3}}) {
 		t.Fatal("canonical sigs should ignore Pos order")
 	}
-	c := Clause{Pos: []engine.TupleID{1}, Neg: []engine.TupleID{2, 3}}
-	if sigKey(9, a) == sigKey(9, c) {
+	if !g.AddDerivation(9, 1, Clause{Pos: []engine.TupleID{1}, Neg: []engine.TupleID{2, 3}}) {
 		t.Fatal("different clauses must have different sigs")
 	}
 	// Pos vs Neg placement matters.
-	d := Clause{Pos: []engine.TupleID{1, 2, 3}}
-	if sigKey(9, a) == sigKey(9, d) {
+	if !g.AddDerivation(9, 1, Clause{Pos: []engine.TupleID{1, 2, 3}}) {
 		t.Fatal("sign placement must be part of the sig")
 	}
 	// The head is part of the sig.
-	if sigKey(9, a) == sigKey(8, a) {
+	if !g.AddDerivation(8, 1, a) {
 		t.Fatal("head must be part of the sig")
 	}
-}
-
-func TestFormulaDedupAndTupleIDs(t *testing.T) {
-	f := NewFormula()
-	c1 := Clause{Pos: []engine.TupleID{1}, Neg: []engine.TupleID{2}}
-	if !f.Add(1, c1) {
-		t.Fatal("first add should be new")
-	}
-	if f.Add(1, Clause{Pos: []engine.TupleID{1}, Neg: []engine.TupleID{2}}) {
-		t.Fatal("duplicate clause should be dropped")
-	}
-	if !f.Add(3, c1) {
-		t.Fatal("same clause under a different head is distinct")
-	}
-	if f.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", f.Len())
-	}
-	ids := f.TupleIDs()
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
-		t.Fatalf("TupleIDs = %v", ids)
+	if g.NumAssignments() != 4 {
+		t.Fatalf("NumAssignments = %d, want 4", g.NumAssignments())
 	}
 }
 

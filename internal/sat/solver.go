@@ -81,7 +81,7 @@ type solver struct {
 
 	// litsStack holds per-depth branching-literal scratch, reused across
 	// the whole search (recursion depth d always reuses slot d).
-	litsStack [][]int
+	litsStack [][]int32
 
 	cancel    func() bool
 	weights   []int64
@@ -108,8 +108,8 @@ func newSolver(f *Formula, opts Options) *solver {
 		f:          f,
 		maxNodes:   opts.MaxNodes,
 		state:      make([]int8, n+1),
-		satisfied:  make([]bool, len(f.clauses)),
-		unassigned: make([]int32, len(f.clauses)),
+		satisfied:  make([]bool, f.NumClauses()),
+		unassigned: make([]int32, f.NumClauses()),
 		occPos:     make([][]int32, n+1),
 		occNeg:     make([][]int32, n+1),
 		posCount:   make([]int32, n+1),
@@ -131,7 +131,8 @@ func newSolver(f *Formula, opts Options) *solver {
 			s.weights[v] = w
 		}
 	}
-	for ci, c := range f.clauses {
+	for ci := range f.NumClauses() {
+		c := f.Clause(ci)
 		s.unassigned[ci] = int32(len(c))
 		for _, l := range c {
 			if l > 0 {
@@ -155,8 +156,8 @@ func newSolver(f *Formula, opts Options) *solver {
 
 func (s *solver) solve() Result {
 	// An empty clause is immediately unsatisfiable.
-	for _, c := range s.f.clauses {
-		if len(c) == 0 {
+	for ci := range s.f.NumClauses() {
+		if len(s.f.Clause(ci)) == 0 {
 			return Result{Satisfiable: false, Nodes: 0, Optimal: true}
 		}
 	}
@@ -172,7 +173,7 @@ func (s *solver) solve() Result {
 		}
 	}
 	if !conflict {
-		for ci := range s.f.clauses {
+		for ci := range s.f.NumClauses() {
 			if !s.satisfied[ci] && s.unassigned[ci] == 1 {
 				if !s.propagateClause(int32(ci)) {
 					conflict = true
@@ -240,12 +241,8 @@ func (s *solver) propagateClause(ci int32) bool {
 	if s.satisfied[ci] {
 		return true
 	}
-	for _, l := range s.f.clauses[ci] {
-		v := l
-		if v < 0 {
-			v = -v
-		}
-		if s.state[v] == 0 {
+	for _, l := range s.f.Clause(int(ci)) {
+		if v := abs(l); s.state[v] == 0 {
 			return s.assignAndPropagate(v, l > 0)
 		}
 	}
@@ -316,12 +313,13 @@ func (s *solver) lowerBound(enough int64) int64 {
 	s.usedEpoch++
 	epoch := s.usedEpoch
 	var lb int64
-	for ci := s.firstUnsat; ci < len(s.f.clauses); ci++ {
-		c := s.f.clauses[ci]
+	lits, off := s.f.lits, s.f.off
+	for ci := s.firstUnsat; ci < len(off)-1; ci++ {
 		s.work++
 		if s.satisfied[ci] {
 			continue
 		}
+		c := lits[off[ci]:off[ci+1]]
 		allPos, disjoint := true, true
 		for _, l := range c {
 			if l < 0 {
@@ -345,7 +343,7 @@ func (s *solver) lowerBound(enough int64) int64 {
 		minW := int64(1 << 62)
 		for _, l := range c {
 			if l > 0 && s.state[l] == 0 {
-				if w := s.weight(l); w < minW {
+				if w := s.weight(int(l)); w < minW {
 					minW = w
 				}
 			}
@@ -377,19 +375,19 @@ func (s *solver) weight(v int) int64 {
 // and picks the clause with the fewest unassigned literals within a small
 // lookahead window past the first unsatisfied one, bounding per-node cost.
 func (s *solver) pickClause() int {
-	for s.firstUnsat < len(s.f.clauses) && s.satisfied[s.firstUnsat] {
+	for s.firstUnsat < s.f.NumClauses() && s.satisfied[s.firstUnsat] {
 		s.firstUnsat++
 		s.work++
 	}
-	if s.firstUnsat >= len(s.f.clauses) {
+	if s.firstUnsat >= s.f.NumClauses() {
 		return -1
 	}
 	const lookahead = 128
 	bestCi := s.firstUnsat
 	bestN := s.unassigned[bestCi]
 	end := s.firstUnsat + lookahead
-	if end > len(s.f.clauses) {
-		end = len(s.f.clauses)
+	if end > s.f.NumClauses() {
+		end = s.f.NumClauses()
 	}
 	for ci := s.firstUnsat + 1; ci < end && bestN > 2; ci++ {
 		s.work++
@@ -422,11 +420,8 @@ func (s *solver) greedyDescent() {
 		// zero cost.
 		var bestVar int
 		bestCover := -1
-		for _, l := range s.f.clauses[ci] {
-			v := l
-			if v < 0 {
-				v = -v
-			}
+		for _, l := range s.f.Clause(ci) {
+			v := abs(l)
 			if s.state[v] != 0 {
 				continue
 			}
@@ -479,7 +474,7 @@ func (s *solver) record() {
 // litLess orders branching literals: negative (free) first, then positive
 // by preference rank, then by weight, then by static occurrence
 // (descending), then by variable index.
-func (s *solver) litLess(li, lj int) bool {
+func (s *solver) litLess(li, lj int32) bool {
 	ni, nj := li < 0, lj < 0
 	if ni != nj {
 		return ni
@@ -530,12 +525,8 @@ func (s *solver) search(depth int) {
 		s.litsStack = append(s.litsStack, nil)
 	}
 	lits := s.litsStack[depth][:0]
-	for _, l := range s.f.clauses[ci] {
-		v := l
-		if v < 0 {
-			v = -v
-		}
-		if s.state[v] == 0 {
+	for _, l := range s.f.Clause(ci) {
+		if s.state[abs(l)] == 0 {
 			lits = append(lits, l)
 		}
 	}
@@ -580,9 +571,10 @@ func (s *solver) search(depth int) {
 	}
 }
 
-func abs(x int) int {
-	if x < 0 {
-		return -x
+// abs returns the variable of a literal.
+func abs(l int32) int {
+	if l < 0 {
+		return int(-l)
 	}
-	return x
+	return int(l)
 }

@@ -225,7 +225,8 @@ var ErrNoSuchRow = errors.New("sideeffect: view has no row")
 type Options struct {
 	// MaxNodes is the Min-Ones-SAT budget (0 = solver default).
 	MaxNodes int64
-	// MaxClauses caps the stability formula (0 = core default).
+	// MaxClauses caps the distinct stability clauses added to the CNF (0 =
+	// core default).
 	MaxClauses int
 	// Ctx, when non-nil, cancels the solve: it is polled inside the SAT
 	// search and checked between phases, so a canceled request returns
@@ -270,32 +271,38 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 		return nil, nil, fmt.Errorf("%w %v", ErrNoSuchRow, target)
 	}
 
-	// Build the formula: per witness, delete at least one participating
-	// tuple; plus the program's stability clauses (Algorithm 1 form).
-	// Tuples are identified by interned ID throughout; witness clauses get
-	// the synthetic head 0 (the view row is not a stored tuple).
-	formula := provenance.NewFormula()
-	for _, w := range row.Witnesses {
-		c := provenance.Clause{}
-		seen := make(map[engine.TupleID]bool, len(w))
-		for _, tp := range w {
-			if !seen[tp.TID] {
-				seen[tp.TID] = true
-				// The requirement is the *opposite* of a stability clause —
-				// we NEED one deletion per witness. We encode witnesses
-				// directly as positive SAT clauses below, so collect them
-				// as Pos here.
-				c.Pos = append(c.Pos, tp.TID)
-			}
+	// Build the CNF over "tuple deleted" variables, numbered on first sight:
+	// per witness, delete at least one participating tuple (a positive
+	// clause); plus the program's stability clauses (Algorithm 1 form).
+	// Tuples are identified by interned ID throughout.
+	cnf := sat.NewFormula(0)
+	varOf := make(map[engine.TupleID]int)
+	var ids []engine.TupleID
+	varFor := func(id engine.TupleID) int {
+		v, ok := varOf[id]
+		if !ok {
+			v = cnf.AddVar()
+			varOf[id] = v
+			ids = append(ids, id)
 		}
-		formula.Add(0, c)
+		return v
 	}
+	var lits []int
+	for _, w := range row.Witnesses {
+		lits = lits[:0]
+		for _, tp := range w {
+			lits = append(lits, varFor(tp.TID))
+		}
+		if err := cnf.AddClause(lits...); err != nil {
+			return nil, nil, err
+		}
+	}
+	witnessClauses := cnf.NumClauses()
 
 	maxClauses := opts.MaxClauses
 	if maxClauses <= 0 {
 		maxClauses = core.DefaultMaxClauses
 	}
-	stability := provenance.NewFormula()
 	var progPrep *datalog.Prepared
 	if p != nil {
 		// Prepare the delta program once: its FromBase plans serve both the
@@ -308,8 +315,11 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 		var evalErr error
 		for _, pr := range progPrep.Rules {
 			err := pr.EvalFromBase(db, false, ctx, func(asn *datalog.Assignment) bool {
-				stability.Add(asn.Head().TID, provenance.ClauseOf(asn))
-				if stability.Len() > maxClauses {
+				lits = provenance.NegatedClause(lits[:0], asn, varFor)
+				if evalErr = cnf.AddClause(lits...); evalErr != nil {
+					return false
+				}
+				if cnf.NumClauses()-witnessClauses > maxClauses {
 					evalErr = fmt.Errorf("sideeffect: stability formula exceeded %d clauses", maxClauses)
 					return false
 				}
@@ -328,43 +338,6 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 	}
 	if err := core.CtxErr(opts.Ctx); err != nil {
 		return nil, nil, err
-	}
-
-	// Variable space: all tuples mentioned anywhere.
-	varOf := make(map[engine.TupleID]int)
-	ids := []engine.TupleID{}
-	intern := func(id engine.TupleID) int {
-		if v, ok := varOf[id]; ok {
-			return v
-		}
-		v := len(ids) + 1
-		varOf[id] = v
-		ids = append(ids, id)
-		return v
-	}
-	var clauses [][]int
-	for _, c := range formula.Clauses {
-		lits := make([]int, 0, len(c.Pos))
-		for _, id := range c.Pos {
-			lits = append(lits, intern(id)) // witness: delete one of these
-		}
-		clauses = append(clauses, lits)
-	}
-	for _, c := range stability.Clauses {
-		lits := make([]int, 0, len(c.Pos)+len(c.Neg))
-		for _, id := range c.Pos {
-			lits = append(lits, intern(id))
-		}
-		for _, id := range c.Neg {
-			lits = append(lits, -intern(id))
-		}
-		clauses = append(clauses, lits)
-	}
-	cnf := sat.NewFormula(len(ids))
-	for _, lits := range clauses {
-		if err := cnf.AddClause(lits...); err != nil {
-			return nil, nil, err
-		}
 	}
 	var cancel func() bool
 	if opts.Ctx != nil {

@@ -101,9 +101,10 @@ END {
           "BenchmarkParallelDerivation/parallel", "BenchmarkParallelDerivation/sequential")
     # Shard-local parallel evaluation on a co-partitionable workload: the
     # sharded leg fans out to NumCPU shards, sharded4 pins 4 shards for a
-    # host-independent scaling figure. On a single-core host both sit
-    # below 1.0 (shards run serially, partition+merge is pure overhead);
-    # multi-core runs show the real speedup.
+    # host-independent scaling figure. On a 2-core host both sit near or
+    # below 1.0 (0.92 and 1.01 in BENCH_2026-08-08.4: partition+merge
+    # overhead eats what two cores gain); hosts with more cores (hosted CI
+    # runners expose 4 vCPUs) are where a real speedup would show.
     ratio("comparison/sharded_vs_sequential", \
           "BenchmarkShardedDerivation/sharded", "BenchmarkShardedDerivation/sequential")
     ratio("scaling/sharded_speedup_4cores", \
@@ -200,7 +201,7 @@ function parse(line, arr, marr,    name, val) {
 }
 BEGIN {
     # Checked entries: large, stable cross-leg ratios. Deliberately not
-    # checked: parallel_vs_sequential (~1.0 on single-core CI), the mas
+    # checked: parallel_vs_sequential (~1.0 on a 2-core host), the mas
     # pair (~1.1), and columnar_vs_row (~1.0; its stable signal is the
     # memory ratio, gated below) — a 25% band around parity is all noise.
     keys["comparison/prepared_vs_unprepared_small"] = 1
@@ -225,18 +226,18 @@ BEGIN {
     while ((getline line < fresh) > 0) parse(line, now, mnow)
     close(fresh)
 
-    # Sharded evaluation is gated conditionally: a single-core host
-    # records a baseline below 1.0 (shards run serially there), and a
-    # 25% band around a sub-1.0 number is all noise. Once a multi-core
-    # snapshot establishes a genuine speedup, the entry becomes a checked
-    # key and a regression below the band fails the gate. The arming
-    # threshold is 1.15, not 1.0: a single-core run can drift a few
-    # percent past parity on scheduler noise (the same jitter that once
-    # pushed parallel_vs_sequential to 0.760 — identical B/op and
-    # allocs/op across snapshots proved no code change was involved), and
-    # a baseline armed by such a fluke would make every later single-core
-    # run fail its floor. 1.15 is beyond single-core noise; only a real
-    # multi-core speedup arms the gate.
+    # Sharded evaluation is gated conditionally: a 2-core host records a
+    # baseline near or below 1.0, and a 25% band around a parity number
+    # is all noise. Once a snapshot from a host with more cores
+    # establishes a genuine speedup, the entry becomes a checked key and a
+    # regression below the band fails the gate. The arming threshold is
+    # 1.15, not 1.0: a run near parity can drift a few percent past it on
+    # scheduler noise (the same jitter that once pushed
+    # parallel_vs_sequential to 0.760 — identical B/op and allocs/op
+    # across snapshots proved no code change was involved), and a
+    # baseline armed by such a fluke would make every later run on the
+    # same host fail its floor. 1.15 is beyond that noise; only a real
+    # speedup arms the gate.
     if (base["comparison/sharded_vs_sequential"] >= 1.15)
         keys["comparison/sharded_vs_sequential"] = 1
     if (base["scaling/sharded_speedup_4cores"] >= 1.15)
