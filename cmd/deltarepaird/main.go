@@ -73,7 +73,6 @@ func main() {
 		maxSessions = flag.Int("max-sessions", server.DefaultMaxSessions, "session cache capacity (LRU beyond this)")
 		maxInFlight = flag.Int("max-inflight", 0, "max concurrently executing repairs (0 = 2x GOMAXPROCS)")
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-request timeout (0 = none)")
-		parallelism = flag.Int("parallelism", 0, "per-request rule-evaluation workers (0 = sequential)")
 		solverNodes = flag.Int64("solver-max-nodes", 0, "default Min-Ones-SAT node budget (0 = solver default)")
 		maxVersions = flag.Int("max-versions", 0, "retained snapshot versions per session for pinned reads (0 = engine default)")
 		demo        = flag.Bool("demo", false, "preload the paper's running example as session \"running-example\"")
@@ -117,7 +116,6 @@ func main() {
 		MaxSessions:    *maxSessions,
 		MaxInFlight:    *maxInFlight,
 		DefaultTimeout: *timeout,
-		Parallelism:    *parallelism,
 		SolverMaxNodes: *solverNodes,
 		MaxVersions:    *maxVersions,
 		DataDir:        *dataDir,

@@ -29,14 +29,14 @@ func shortHash(b []byte) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-func fingerprintCNF(t *testing.T, db *engine.Database, p *datalog.Program, par int) cnfFingerprint {
+func fingerprintCNF(t *testing.T, db *engine.Database, p *datalog.Program) cnfFingerprint {
 	t.Helper()
 	prep, err := datalog.Prepare(p, db.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := IndependentOptions{}
-	ic, err := buildIndependentCNF(nil, db, prep, par, opts)
+	ic, err := buildIndependentCNF(nil, db, prep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,7 @@ var cnfGolden = map[string]cnfFingerprint{
 }
 
 // TestIndependentCNFGolden checks Algorithm 1's CNF byte for byte on the
-// running example, TPC-H T-1..T-6 (scale 0.01) and MAS 1..20 (scale 0.02),
-// sequentially and with a worker pool.
+// running example, TPC-H T-1..T-6 (scale 0.01) and MAS 1..20 (scale 0.02).
 func TestIndependentCNFGolden(t *testing.T) {
 	type instance struct {
 		name string
@@ -132,12 +131,10 @@ func TestIndependentCNFGolden(t *testing.T) {
 		cases = append(cases, instance{fmt.Sprintf("mas-%d", n), mds.DB, p})
 	}
 	for _, c := range cases {
-		for _, par := range []int{0, 2} {
-			got := fingerprintCNF(t, c.db, c.p, par)
-			if want, ok := cnfGolden[c.name]; !ok || got != want {
-				t.Errorf("%s par=%d: CNF fingerprint %#v, want %#v\n\t%q: {%d, %q, %q, %d},",
-					c.name, par, got, want, c.name, got.vars, got.dimacs, got.ids, got.nodes)
-			}
+		got := fingerprintCNF(t, c.db, c.p)
+		if want, ok := cnfGolden[c.name]; !ok || got != want {
+			t.Errorf("%s: CNF fingerprint %#v, want %#v\n\t%q: {%d, %q, %q, %d},",
+				c.name, got, want, c.name, got.vars, got.dimacs, got.ids, got.nodes)
 		}
 	}
 }
@@ -155,7 +152,7 @@ func TestFormulaClausesCountsSolverClauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic, err := buildIndependentCNF(nil, db, prep, 0, IndependentOptions{})
+	ic, err := buildIndependentCNF(nil, db, prep, IndependentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func RunIndependent(db *engine.Database, p *datalog.Program, opts IndependentOpt
 	if err != nil {
 		return nil, nil, err
 	}
-	return runIndependent(nil, db, prep, 0, opts)
+	return runIndependent(nil, db, prep, opts)
 }
 
 // indCNF is the compiled Algorithm 1 instance — the positivized provenance
@@ -79,7 +79,7 @@ type indCNF struct {
 // and assembles the solver inputs. Eval covers the provenance sweep, which
 // negates each assignment into the CNF as it is emitted; ProcessProv covers
 // the forced pre-deletions and the solver's tie preference.
-func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog.Prepared, par int, opts IndependentOptions) (*indCNF, error) {
+func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog.Prepared, opts IndependentOptions) (*indCNF, error) {
 	maxClauses := opts.MaxClauses
 	if maxClauses <= 0 {
 		maxClauses = DefaultMaxClauses
@@ -116,7 +116,7 @@ func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog
 	// Tie preference: try end-derivable tuples first (deepest layer first),
 	// steering equal-cost optima toward sets other semantics contain.
 	if !opts.DisablePreferDerivable {
-		if _, _, graph, err := runEndCaptured(ctx, db, prep, true, par, 0); err == nil {
+		if _, _, graph, err := runEndCaptured(ctx, db, prep, true); err == nil {
 			heads := append([]engine.TupleID(nil), graph.Heads...)
 			idx := make(map[engine.TupleID]int, len(heads))
 			for i, h := range heads {
@@ -222,7 +222,7 @@ func (ic *indCNF) satOptions(ctx context.Context, opts IndependentOptions) sat.O
 // materialize turns a satisfying assignment into the deleted-tuple set and
 // the repaired fork, verifying stabilization (correctness of Algorithm 1):
 // fail loudly rather than return a bad repair.
-func (ic *indCNF) materialize(ctx context.Context, db *engine.Database, prep *datalog.Prepared, par int, assignment []bool) ([]*engine.Tuple, *engine.Database, error) {
+func (ic *indCNF) materialize(ctx context.Context, db *engine.Database, prep *datalog.Prepared, assignment []bool) ([]*engine.Tuple, *engine.Database, error) {
 	work := db.Fork()
 	var deleted []*engine.Tuple
 	for i, id := range ic.ids {
@@ -234,7 +234,7 @@ func (ic *indCNF) materialize(ctx context.Context, db *engine.Database, prep *da
 			deleted = append(deleted, t)
 		}
 	}
-	stable, err := CheckStableParCtx(ctx, work, prep, par)
+	stable, err := CheckStableP(ctx, work, prep, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -244,8 +244,8 @@ func (ic *indCNF) materialize(ctx context.Context, db *engine.Database, prep *da
 	return deleted, work, nil
 }
 
-func runIndependent(ctx context.Context, db *engine.Database, prep *datalog.Prepared, par int, opts IndependentOptions) (*Result, *engine.Database, error) {
-	ic, err := buildIndependentCNF(ctx, db, prep, par, opts)
+func runIndependent(ctx context.Context, db *engine.Database, prep *datalog.Prepared, opts IndependentOptions) (*Result, *engine.Database, error) {
+	ic, err := buildIndependentCNF(ctx, db, prep, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -265,7 +265,7 @@ func runIndependent(ctx context.Context, db *engine.Database, prep *datalog.Prep
 
 	// Output (line 6): tuples whose deletion variable is true.
 	updStart := time.Now()
-	deleted, work, err := ic.materialize(ctx, db, prep, par, solved.Assignment)
+	deleted, work, err := ic.materialize(ctx, db, prep, solved.Assignment)
 	if err != nil {
 		return nil, nil, err
 	}

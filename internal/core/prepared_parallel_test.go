@@ -12,73 +12,21 @@ import (
 
 // assertIdentical fails unless the two results are the same set in the
 // same deletion order — byte-identical repairs, not just set-equivalent.
-func assertIdentical(t *testing.T, label string, sem Semantics, seq, par *Result) {
+func assertIdentical(t *testing.T, label string, sem Semantics, want, got *Result) {
 	t.Helper()
-	if !seq.SameSet(par) {
-		t.Fatalf("%s/%s: parallel set %v != sequential %v", label, sem, par.Keys(), seq.Keys())
+	if !want.SameSet(got) {
+		t.Fatalf("%s/%s: set %v != %v", label, sem, got.Keys(), want.Keys())
 	}
-	sk, pk := seq.Keys(), par.Keys()
-	for i := range sk {
-		if sk[i] != pk[i] {
-			t.Fatalf("%s/%s: deletion order diverges at %d: parallel %v, sequential %v", label, sem, i, pk, sk)
+	wk, gk := want.Keys(), got.Keys()
+	for i := range wk {
+		if wk[i] != gk[i] {
+			t.Fatalf("%s/%s: deletion order diverges at %d: %v vs %v", label, sem, i, gk, wk)
 		}
 	}
-	if seq.Optimal != par.Optimal || seq.Rounds != par.Rounds {
-		t.Fatalf("%s/%s: diagnostics diverge: parallel (optimal=%v rounds=%d) vs sequential (optimal=%v rounds=%d)",
-			label, sem, par.Optimal, par.Rounds, seq.Optimal, seq.Rounds)
+	if want.Optimal != got.Optimal || want.Rounds != got.Rounds {
+		t.Fatalf("%s/%s: diagnostics diverge: (optimal=%v rounds=%d) vs (optimal=%v rounds=%d)",
+			label, sem, got.Optimal, got.Rounds, want.Optimal, want.Rounds)
 	}
-}
-
-// runBoth executes one semantics sequentially and with a worker pool over
-// the same prepared program and checks the results are identical.
-func runBoth(t *testing.T, label string, db *engine.Database, p *datalog.Program, prep *datalog.Prepared) {
-	t.Helper()
-	indOpts := IndependentOptions{MaxNodes: 150000}
-	for _, sem := range AllSemantics {
-		seq, _, err := RunWith(db, p, sem, Options{Prepared: prep, Independent: indOpts})
-		if err != nil {
-			t.Fatalf("%s/%s sequential: %v", label, sem, err)
-		}
-		par, _, err := RunWith(db, p, sem, Options{Prepared: prep, Independent: indOpts, Parallelism: 4})
-		if err != nil {
-			t.Fatalf("%s/%s parallel: %v", label, sem, err)
-		}
-		assertIdentical(t, label, sem, seq, par)
-	}
-}
-
-// TestParallelDerivationMatchesSequentialMAS runs all 20 MAS programs under
-// Parallelism: 4 and asserts every semantics produces the same stabilizing
-// set in the same deletion order as sequential execution. Run with -race to
-// exercise the concurrent evaluation paths.
-func TestParallelDerivationMatchesSequentialMAS(t *testing.T) {
-	ds := mas.Generate(mas.Config{Scale: 0.01, Seed: 1})
-	for n := 1; n <= 20; n++ {
-		p, err := programs.MAS(n, ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prep, err := datalog.Prepare(p, ds.DB.Schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runBoth(t, fmt.Sprintf("MAS-%d", n), ds.DB, p, prep)
-	}
-}
-
-// TestParallelDerivationMatchesSequentialRunningExample covers the paper's
-// running example (Figure 1) under the same parallel-vs-sequential check.
-func TestParallelDerivationMatchesSequentialRunningExample(t *testing.T) {
-	db := programs.RunningExampleDB()
-	p, err := programs.RunningExampleProgram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := datalog.Prepare(p, db.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runBoth(t, "running-example", db, p, prep)
 }
 
 // TestPreparedRepeatedRunsShareState exercises the amortization path: many
@@ -110,11 +58,9 @@ func TestPreparedRepeatedRunsShareState(t *testing.T) {
 }
 
 // TestParallelIndependentWithStaleIndexes covers the pre-existing-deletion
-// initialization (§3.6) under parallelism: the caller's database already
-// has lazily built indexes with stale buckets from earlier deletions, and
-// warming must flush them so the concurrent phases (the derivable-tuple
-// preference and the stability verification) perform no writes (run with
-// -race).
+// initialization (§3.6) over stale indexes: the caller's database already
+// has lazily built indexes with stale buckets from earlier deletions, which
+// lookups compact lazily; repeated runs over it must agree exactly.
 func TestParallelIndependentWithStaleIndexes(t *testing.T) {
 	db := programs.RunningExampleDB()
 	p, err := programs.RunningExampleProgram()
@@ -127,7 +73,7 @@ func TestParallelIndependentWithStaleIndexes(t *testing.T) {
 	}
 	// Build indexes lazily via a stability probe, then delete tuples so the
 	// built buckets go stale.
-	if _, err := CheckStableP(db, prep); err != nil {
+	if _, err := CheckStableP(nil, db, prep, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, rel := range []string{"AuthGrant", "Writes"} {
@@ -138,7 +84,7 @@ func TestParallelIndependentWithStaleIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := RunWith(db, p, SemIndependent, Options{Prepared: prep, Parallelism: 4})
+	par, _, err := RunWith(db, p, SemIndependent, Options{Prepared: prep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +149,8 @@ func TestRunWithRejectsMismatchedPrepared(t *testing.T) {
 }
 
 // TestCheckStablePRejectsMismatchedSchema: the stability probe enforces
-// the same schema-compatibility guard as the executors.
+// the same schema-compatibility guard as the executors, on the full and
+// the warm-hinted path alike.
 func TestCheckStablePRejectsMismatchedSchema(t *testing.T) {
 	ds := mas.Generate(mas.Config{Scale: 0.01, Seed: 1})
 	p, err := programs.MAS(10, ds)
@@ -216,10 +163,12 @@ func TestCheckStablePRejectsMismatchedSchema(t *testing.T) {
 	}
 	other := engine.NewSchema()
 	other.MustAddRelation("Unrelated", "u", "a")
-	if _, err := CheckStableP(engine.NewDatabase(other), prep); err == nil {
-		t.Fatal("mismatched schema accepted by CheckStableP")
+	for _, w := range []*WarmStart{nil, {PrevStable: true, ChangedRels: []string{"Unrelated"}}} {
+		if _, err := CheckStableP(nil, engine.NewDatabase(other), prep, w); err == nil {
+			t.Fatalf("mismatched schema accepted by CheckStableP (warm hints %+v)", w)
+		}
 	}
-	if stable, err := CheckStableP(ds.DB, prep); err != nil || stable {
+	if stable, err := CheckStableP(nil, ds.DB, prep, nil); err != nil || stable {
 		t.Fatalf("CheckStableP on matching schema = (%v, %v), want (false, nil)", stable, err)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/datalog"
 	"repro/internal/engine"
@@ -17,23 +16,24 @@ func CheckStable(db *engine.Database, p *datalog.Program) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return CheckStableP(db, prep)
+	return CheckStableP(nil, db, prep, nil)
 }
 
 // CheckStableP is CheckStable over a prepared program: repeated stability
 // probes (server loops, the step debugger) reuse the prepared plans and a
 // pooled execution context instead of re-planning per call.
-func CheckStableP(db *engine.Database, prep *datalog.Prepared) (bool, error) {
-	return CheckStablePCtx(nil, db, prep)
-}
-
-// CheckStablePCtx is CheckStableP with per-request cancellation, checked
-// before every rule probe; serving layers use it so a stability probe
-// against a heavy session honors its deadline instead of holding an
-// admission slot.
-func CheckStablePCtx(ctx context.Context, db *engine.Database, prep *datalog.Prepared) (bool, error) {
+//
+// ctx carries per-request cancellation, checked before every rule probe;
+// a nil ctx never cancels. w optionally carries incremental hints: when it
+// says an earlier version was stable, only the insert-seeded passes of the
+// rules reading updated relations are probed (see checkStableWarm). A nil
+// w, or one without PrevStable, runs the full probe.
+func CheckStableP(ctx context.Context, db *engine.Database, prep *datalog.Prepared, w *WarmStart) (bool, error) {
 	if err := prep.CompatibleWith(db.Schema); err != nil {
 		return false, fmt.Errorf("core: %w", err)
+	}
+	if w != nil && w.PrevStable {
+		return checkStableWarm(ctx, db, prep, w)
 	}
 	ec := prep.AcquireContext()
 	defer prep.ReleaseContext(ec)
@@ -50,48 +50,6 @@ func CheckStablePCtx(ctx context.Context, db *engine.Database, prep *datalog.Pre
 		}
 	}
 	return true, nil
-}
-
-// CheckStableParCtx is CheckStablePCtx with the per-rule probes fanned out
-// over up to par workers. Rules are independent reads of the same state,
-// so the verdict is identical to the sequential probe; with several rules
-// over a large session the wall-clock approaches the slowest single rule.
-// The prepared plans' index requirements are pre-built first (a lazy index
-// build mid-probe would be a data race), which is why par <= 1 falls back
-// to the sequential probe and its cheaper lazy indexing.
-func CheckStableParCtx(ctx context.Context, db *engine.Database, prep *datalog.Prepared, par int) (bool, error) {
-	if par <= 1 || len(prep.Rules) <= 1 {
-		return CheckStablePCtx(ctx, db, prep)
-	}
-	if err := prep.CompatibleWith(db.Schema); err != nil {
-		return false, fmt.Errorf("core: %w", err)
-	}
-	prep.WarmIndexes(db)
-	var unstable atomic.Bool
-	rules := make([]int, len(prep.Rules))
-	for ri := range rules {
-		rules[ri] = ri
-	}
-	errs := forEachRuleParallel(prep, par, rules,
-		func(ri int, ec *datalog.ExecContext) error {
-			if unstable.Load() {
-				return nil // some rule already has an assignment: verdict set
-			}
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-			ok, err := prep.Rules[ri].HasAssignment(db, ec)
-			if ok {
-				unstable.Store(true)
-			}
-			return err
-		})
-	for _, err := range errs {
-		if err != nil {
-			return false, err
-		}
-	}
-	return !unstable.Load(), nil
 }
 
 // FirstViolation returns one satisfying assignment witnessing instability,

@@ -39,7 +39,7 @@ import (
 // from-scratch recomputation at every version, for all four semantics.
 
 // WarmStart carries incremental-update hints into RunWith and
-// CheckStableWarm. The caller (normally internal/server) is responsible
+// CheckStableP. The caller (normally internal/server) is responsible
 // for the hints' truth: PrevResult/PrevStable must describe an earlier
 // version of the same database lineage, and ChangedRels/Inserted must
 // cover every base change between that version and the database being
@@ -51,7 +51,7 @@ type WarmStart struct {
 	// earlier version, enabling read-set pruning (all semantics) and
 	// fixpoint continuation (end semantics, insert-only updates).
 	PrevResult *Result
-	// PrevStable, for CheckStableWarm: the earlier version was verified
+	// PrevStable, for CheckStableP: the earlier version was verified
 	// stable.
 	PrevStable bool
 	// ChangedRels lists the base relations modified between the earlier
@@ -261,40 +261,16 @@ func groupByRelation(schema *engine.Schema, lists map[string][]*engine.Tuple) ma
 	return out
 }
 
-// CheckStableWarm is CheckStableWarmCtx without cancellation.
-func CheckStableWarm(db *engine.Database, prep *datalog.Prepared, w *WarmStart) (bool, error) {
-	return CheckStableWarmCtx(nil, db, prep, w)
-}
-
-// CheckStableWarmParCtx is CheckStableWarmCtx whose cold path — no usable
-// hints, so a full stability probe — fans the per-rule probes out over par
-// workers (CheckStableParCtx). The warm path stays sequential: it probes
-// only the insert-seeded passes, whose work is bounded by the update batch
-// rather than the session.
-func CheckStableWarmParCtx(ctx context.Context, db *engine.Database, prep *datalog.Prepared, w *WarmStart, par int) (bool, error) {
-	if w == nil || !w.PrevStable {
-		return CheckStableParCtx(ctx, db, prep, par)
-	}
-	return CheckStableWarmCtx(ctx, db, prep, w)
-}
-
-// CheckStableWarmCtx reports whether db is stable (Def. 3.12), using
-// incremental hints to avoid a full probe. When the hints say an earlier
-// version was stable, the new state can only be unstable through an
-// assignment binding at least one freshly inserted tuple (rule bodies are
-// positive; deletions never create assignments), so:
+// checkStableWarm is CheckStableP's incremental path, for hints saying an
+// earlier version was stable (w.PrevStable). The new state can then only
+// be unstable through an assignment binding at least one freshly inserted
+// tuple (rule bodies are positive; deletions never create assignments), so:
 //
 //   - an update outside the prepared read-set, or one that only deleted,
 //     needs no evaluation at all;
 //   - otherwise only the rules reading an inserted-into relation are
 //     probed, and only through their insert-seeded passes.
-//
-// Without usable hints (nil w, or the earlier version was not known
-// stable) this is exactly CheckStablePCtx.
-func CheckStableWarmCtx(ctx context.Context, db *engine.Database, prep *datalog.Prepared, w *WarmStart) (bool, error) {
-	if w == nil || !w.PrevStable {
-		return CheckStablePCtx(ctx, db, prep)
-	}
+func checkStableWarm(ctx context.Context, db *engine.Database, prep *datalog.Prepared, w *WarmStart) (bool, error) {
 	if !w.touchesReadSet(prep) {
 		return true, nil
 	}

@@ -89,7 +89,7 @@ func TestWarmShortcutOutsideReadSet(t *testing.T) {
 		if got.Rounds != prev.Rounds || got.Optimal != prev.Optimal {
 			t.Errorf("%s: diagnostics not carried over (%d/%v vs %d/%v)", sem, got.Rounds, got.Optimal, prev.Rounds, prev.Optimal)
 		}
-		stable, err := CheckStableP(repaired, prep)
+		stable, err := CheckStableP(nil, repaired, prep, nil)
 		if err != nil || !stable {
 			t.Errorf("%s: warm repaired fork not stable (err=%v)", sem, err)
 		}
@@ -165,17 +165,9 @@ func TestWarmEndContinuation(t *testing.T) {
 		if got.Size() <= prev.Size() {
 			t.Fatalf("step %d: cascade should grow the end repair", step)
 		}
-		stable, err := CheckStableP(repaired, prep)
+		stable, err := CheckStableP(nil, repaired, prep, nil)
 		if err != nil || !stable {
 			t.Fatalf("step %d: warm repaired fork not stable (err=%v)", step, err)
-		}
-		// The continuation must also work under parallel evaluation.
-		par, _, err := RunWith(next.Fork(), prog, SemEnd, Options{Prepared: prep, Warm: warm, Parallelism: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sortedKeys(par) != sortedKeys(scratch) {
-			t.Fatalf("step %d: parallel warm end diverged", step)
 		}
 		cur, prev = next, got
 	}
@@ -232,18 +224,18 @@ func TestCheckStableWarm(t *testing.T) {
 	db.MustInsert("A", engine.Int(1))
 	db.MustInsert("B", engine.Int(2)) // disjoint: stable
 	snap := db.Freeze()
-	if stable, err := CheckStableP(snap.Fork(), prep); err != nil || !stable {
+	if stable, err := CheckStableP(nil, snap.Fork(), prep, nil); err != nil || !stable {
 		t.Fatalf("fixture should start stable (err=%v)", err)
 	}
 
 	check := func(name string, snap *engine.Snapshot, info *engine.ApplyInfo) {
 		t.Helper()
 		warm := &WarmStart{PrevStable: true, ChangedRels: info.Changed, Inserted: info.InsertedTuples}
-		got, err := CheckStableWarm(snap.Fork(), prep, warm)
+		got, err := CheckStableP(nil, snap.Fork(), prep, warm)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, err := CheckStableP(snap.Fork(), prep)
+		want, err := CheckStableP(nil, snap.Fork(), prep, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -280,12 +272,12 @@ func TestCheckStableWarm(t *testing.T) {
 	}
 	check("violating insert", s4, info)
 	warm := &WarmStart{PrevStable: true, ChangedRels: info.Changed, Inserted: info.InsertedTuples}
-	if stable, _ := CheckStableWarm(s4.Fork(), prep, warm); stable {
+	if stable, _ := CheckStableP(nil, s4.Fork(), prep, warm); stable {
 		t.Fatal("violating insert reported stable")
 	}
 
 	// Without usable hints the warm probe falls back to a full check.
-	if stable, err := CheckStableWarm(s4.Fork(), prep, nil); err != nil || stable {
+	if stable, err := CheckStableP(nil, s4.Fork(), prep, nil); err != nil || stable {
 		t.Fatalf("nil hints fallback: stable=%v err=%v", stable, err)
 	}
 }

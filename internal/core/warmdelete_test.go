@@ -76,7 +76,7 @@ func TestWarmEndDeleteContinuation(t *testing.T) {
 		if exactKeys(got) != exactKeys(cold) {
 			t.Fatalf("%s: warm %s != cold %s", b.name, exactKeys(got), exactKeys(cold))
 		}
-		if stable, err := CheckStableP(repaired, prep); err != nil || !stable {
+		if stable, err := CheckStableP(nil, repaired, prep, nil); err != nil || !stable {
 			t.Fatalf("%s: warm-repaired fork not stable (err=%v)", b.name, err)
 		}
 		// The pipeline continues the previous fixpoint instead of
@@ -222,7 +222,7 @@ func TestWarmEndDeleteCyclicSupport(t *testing.T) {
 		if got.Size() != tc.want {
 			t.Fatalf("%s: repair has %d tuples, want %d", tc.name, got.Size(), tc.want)
 		}
-		if stable, err := CheckStableP(repaired, prep); err != nil || !stable {
+		if stable, err := CheckStableP(nil, repaired, prep, nil); err != nil || !stable {
 			t.Fatalf("%s: warm-repaired fork not stable (err=%v)", tc.name, err)
 		}
 	}
@@ -384,7 +384,7 @@ func TestWarmDeleteMASPrograms(t *testing.T) {
 				if exactKeys(got) != exactKeys(cold) {
 					t.Fatalf("%s: warm %s != cold %s", sem, exactKeys(got), exactKeys(cold))
 				}
-				if stable, err := CheckStableP(repaired, prep); err != nil || !stable {
+				if stable, err := CheckStableP(nil, repaired, prep, nil); err != nil || !stable {
 					t.Fatalf("%s: warm-repaired fork not stable (err=%v)", sem, err)
 				}
 			}

@@ -118,10 +118,10 @@ func TestPrepareRejectsUnvalidated(t *testing.T) {
 }
 
 // TestPreparedIndexReqs: every declared requirement names a schema
-// relation and an in-range column, and warming builds exactly the base and
-// delta targets.
+// relation and an in-range column, and pooled scratch relations carry
+// every scratch target.
 func TestPreparedIndexReqs(t *testing.T) {
-	db, _, pp := preparedExample(t)
+	_, _, pp := preparedExample(t)
 	reqs := pp.IndexReqs()
 	if len(reqs) == 0 {
 		t.Fatal("no index requirements declared for a multi-join program")
@@ -140,16 +140,15 @@ func TestPreparedIndexReqs(t *testing.T) {
 			t.Fatalf("requirement %+v column out of range", rq)
 		}
 	}
-	pp.WarmIndexes(db)
+	scr := pp.AcquireScratch()
+	defer pp.ReleaseScratch(scr)
 	for _, rq := range reqs {
-		switch rq.Target {
-		case TargetBase:
-			if cols := db.Relation(rq.Rel).IndexedColumns(); !containsInt(cols, rq.Col) {
-				t.Fatalf("base index %s.%d not built by WarmIndexes", rq.Rel, rq.Col)
-			}
-		case TargetDelta:
-			if cols := db.Delta(rq.Rel).IndexedColumns(); !containsInt(cols, rq.Col) {
-				t.Fatalf("delta index %s.%d not built by WarmIndexes", rq.Rel, rq.Col)
+		if rq.Target != TargetScratch {
+			continue
+		}
+		for _, r := range []*engine.Relation{scr.Old[rq.Rel], scr.Frontier[rq.Rel]} {
+			if !containsInt(r.IndexedColumns(), rq.Col) {
+				t.Fatalf("scratch index %s.%d not registered", rq.Rel, rq.Col)
 			}
 		}
 	}
@@ -294,7 +293,6 @@ func TestScratchPoolRoundTrip(t *testing.T) {
 	s.Frontier["Grant"].Insert(tp)
 	s.Derived[tp.TID] = true
 	s.Heads = append(s.Heads, tp)
-	s.Eligible = append(s.Eligible, 0)
 	pp.ReleaseScratch(s)
 	s2 := pp.AcquireScratch()
 	defer pp.ReleaseScratch(s2)
@@ -303,7 +301,7 @@ func TestScratchPoolRoundTrip(t *testing.T) {
 			t.Fatalf("recycled scratch for %s not reset", rs.Name)
 		}
 	}
-	if len(s2.Derived) != 0 || len(s2.Fresh) != 0 || len(s2.Heads) != 0 || len(s2.Eligible) != 0 {
+	if len(s2.Derived) != 0 || len(s2.Fresh) != 0 || len(s2.Heads) != 0 {
 		t.Fatal("recycled scratch sets/buffers not reset")
 	}
 }

@@ -429,10 +429,9 @@ func TestRelationIndexSurvivesDeleteReinsert(t *testing.T) {
 	}
 }
 
-// TestRelationSyncIndexes: after deletions, SyncIndexes leaves every
-// bucket fully compacted so lookups perform no writes (the invariant the
-// parallel evaluation phase depends on), with unchanged results.
-func TestRelationSyncIndexes(t *testing.T) {
+// TestRelationLazyBucketCompaction: after deletions, lookups compact the
+// stale index buckets lazily and return exactly the live tuples.
+func TestRelationLazyBucketCompaction(t *testing.T) {
 	r := NewRelation("R", 2)
 	var tuples []*Tuple
 	for i := 0; i < 20; i++ {
@@ -444,7 +443,6 @@ func TestRelationSyncIndexes(t *testing.T) {
 	for i := 0; i < 20; i += 2 {
 		r.DeleteTuple(tuples[i])
 	}
-	r.SyncIndexes()
 	// Exact per-bucket counts: odd i survive, so only values 1 and 3 keep
 	// five tuples each; every returned tuple must be live.
 	want := map[int]int{1: 5, 3: 5}

@@ -95,20 +95,6 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) {
 			wantKeys := sortedResultKeys(want)
 			expected[version][sem] = wantKeys
 
-			// Sharded-parallel leg: on the same lineage as the scratch run,
-			// sharded evaluation (4 shards, no size floor) must be
-			// byte-identical — Seq-ordered keys, not merely set-equal — to
-			// sequential, at every version of the stream.
-			sharded, _, err := core.RunWith(fresh.Fork(), sc.Program, sem,
-				core.Options{Prepared: prep, Parallelism: 4, ShardMinTuples: -1})
-			if err != nil {
-				t.Fatalf("seed %d v%d: sharded %s: %v", sc.Seed, version, sem, err)
-			}
-			if got, wantExact := fmt.Sprintf("%v", sharded.Keys()), fmt.Sprintf("%v", want.Keys()); got != wantExact {
-				t.Fatalf("seed %d v%d: %s sharded %s != sequential %s\nprogram:\n%s",
-					sc.Seed, version, sem, got, wantExact, sc.ProgramSource)
-			}
-
 			// First incremental request at this version: exercises the
 			// cross-version warm-start paths (read-set pruning, end
 			// continuation) or a cold run.
@@ -136,7 +122,7 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) {
 
 		// Stability must agree with the scratch instance; repeated probes
 		// exercise the insert-seeded warm path once a version is stable.
-		wantStable, err := core.CheckStableP(fresh.Fork(), prep)
+		wantStable, err := core.CheckStableP(nil, fresh.Fork(), prep, nil)
 		if err != nil {
 			t.Fatalf("seed %d v%d: scratch stability: %v", sc.Seed, version, err)
 		}
@@ -182,7 +168,7 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) {
 					t.Fatalf("seed %d v%d: %s warm chain %s != cold %s\nprogram:\n%s",
 						sc.Seed, n, sem, gotKeys, wantKeys, sc.ProgramSource)
 				}
-				if stable, err := core.CheckStableP(repaired, prep); err != nil || !stable {
+				if stable, err := core.CheckStableP(nil, repaired, prep, nil); err != nil || !stable {
 					t.Fatalf("seed %d v%d: %s warm-repaired fork not stable (err=%v)", sc.Seed, n, sem, err)
 				}
 				prevRes[sem] = got
@@ -316,7 +302,7 @@ func TestUpdateStreamCoverage(t *testing.T) {
 				outsideReadSet++
 			}
 		}
-		if stable, _ := core.CheckStableP(us.Scenario.DB.Fork(), prep); !stable {
+		if stable, _ := core.CheckStableP(nil, us.Scenario.DB.Fork(), prep, nil); !stable {
 			repairs++
 		}
 	}

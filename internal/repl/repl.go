@@ -135,7 +135,7 @@ func (s *Session) cmdStatus() error {
 	if err != nil {
 		return err
 	}
-	stable, err := core.CheckStableP(s.work, prep)
+	stable, err := core.CheckStableP(nil, s.work, prep, nil)
 	if err != nil {
 		return err
 	}

@@ -317,6 +317,41 @@ func TestDurableDuplicateAcrossEviction(t *testing.T) {
 	}
 }
 
+// TestDurableCompactionFailureCounted: a snapshot compaction that fails
+// (here: the session directory vanished under the open WAL) does not fail
+// the update — the batch is already in the WAL — but is counted.
+func TestDurableCompactionFailureCounted(t *testing.T) {
+	dir := t.TempDir()
+	svc := openDurable(t, dir, Config{SnapshotEvery: 1})
+	defer svc.Close()
+	register(t, svc, "papers")
+	if err := os.RemoveAll(filepath.Dir(walPath(dir, "papers"))); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := svc.Update(ctx, "papers", []engine.Row{row("Grant", engine.Int(3), engine.Str("DFG"))}, nil, RequestOptions{})
+	if err != nil {
+		t.Fatalf("update with failing compaction: %v", err)
+	}
+	if res.Version != 2 || res.Inserted != 1 {
+		t.Fatalf("update result %+v, want version 2 with 1 insert", res)
+	}
+	if _, _, err := svc.Repair(ctx, "papers", core.SemEnd, RequestOptions{Version: res.Version}); err != nil {
+		t.Fatalf("repair at the new version: %v", err)
+	}
+	rr := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	body := rr.Body.String()
+	for _, want := range []string{
+		"deltarepaird_snapshot_compaction_failures_total 1",
+		"deltarepaird_snapshot_compactions_total 0",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
 // TestMetricsEndpoint exercises the inventory end to end over HTTP.
 func TestMetricsEndpoint(t *testing.T) {
 	svc := New(Config{})

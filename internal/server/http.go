@@ -63,8 +63,6 @@ type RepairRequest struct {
 	// TimeoutMS bounds the request; 0 uses the server default, < 0
 	// disables it.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Parallelism overrides the server's per-request worker count.
-	Parallelism int `json:"parallelism,omitempty"`
 	// SolverMaxNodes overrides the SAT budget (independent semantics).
 	SolverMaxNodes int64 `json:"solver_max_nodes,omitempty"`
 	// Version pins the request to a retained snapshot version
@@ -74,7 +72,6 @@ type RepairRequest struct {
 
 func (rr *RepairRequest) options() RequestOptions {
 	opts := RequestOptions{
-		Parallelism:    rr.Parallelism,
 		SolverMaxNodes: rr.SolverMaxNodes,
 		Version:        rr.Version,
 	}

@@ -30,6 +30,7 @@ type svcMetrics struct {
 	tornTails        *metrics.Counter
 	corruptRecords   *metrics.Counter
 	compactions      *metrics.Counter
+	compactionFails  *metrics.Counter
 }
 
 func newSvcMetrics(s *Service) *svcMetrics {
@@ -54,6 +55,8 @@ func newSvcMetrics(s *Service) *svcMetrics {
 			"WAL records dropped for checksum or decode failures during recovery."),
 		compactions: reg.NewCounter("deltarepaird_snapshot_compactions_total",
 			"Snapshot compactions (WAL truncated into a fresh snapshot)."),
+		compactionFails: reg.NewCounter("deltarepaird_snapshot_compaction_failures_total",
+			"Snapshot compactions that failed; the update stayed durable in the WAL."),
 	}
 	reg.NewGaugeFunc("deltarepaird_sessions",
 		"Sessions currently resident in the cache.",

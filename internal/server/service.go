@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"runtime"
 	"sync"
@@ -79,10 +80,6 @@ type Config struct {
 	// DefaultTimeout bounds each request when the request itself does not
 	// choose a timeout. 0 means no default deadline.
 	DefaultTimeout time.Duration
-	// Parallelism is the per-request rule-evaluation worker count handed
-	// to core.Options.Parallelism (0 or 1 = sequential). Total executor
-	// concurrency is bounded by MaxInFlight × Parallelism.
-	Parallelism int
 	// SolverMaxNodes is the default Min-Ones-SAT budget for independent
 	// semantics and view-tuple deletion. 0 means the solver default.
 	SolverMaxNodes int64
@@ -709,8 +706,6 @@ type RequestOptions struct {
 	// Timeout overrides Config.DefaultTimeout for this request: > 0 sets
 	// a deadline, < 0 disables the default, 0 keeps the default.
 	Timeout time.Duration
-	// Parallelism overrides Config.Parallelism (> 0).
-	Parallelism int
 	// SolverMaxNodes overrides Config.SolverMaxNodes (> 0).
 	SolverMaxNodes int64
 	// Version pins the request to a specific snapshot version
@@ -756,17 +751,12 @@ func (s *Service) requestCtx(ctx context.Context, opts RequestOptions) (context.
 }
 
 func (s *Service) coreOptions(sess *Session, ctx context.Context, opts RequestOptions) core.Options {
-	par := s.cfg.Parallelism
-	if opts.Parallelism > 0 {
-		par = opts.Parallelism
-	}
 	nodes := s.cfg.SolverMaxNodes
 	if opts.SolverMaxNodes > 0 {
 		nodes = opts.SolverMaxNodes
 	}
 	return core.Options{
 		Prepared:    sess.prep,
-		Parallelism: par,
 		Ctx:         ctx,
 		Independent: core.IndependentOptions{MaxNodes: nodes},
 	}
@@ -902,11 +892,7 @@ func (s *Service) IsStableVersioned(ctx context.Context, name string, opts Reque
 	if err != nil {
 		return false, 0, err
 	}
-	par := s.cfg.Parallelism
-	if opts.Parallelism > 0 {
-		par = opts.Parallelism
-	}
-	stable, err := core.CheckStableWarmParCtx(reqCtx, snap.Fork(), sess.prep, sess.stableHints(version), par)
+	stable, err := core.CheckStableP(reqCtx, snap.Fork(), sess.prep, sess.stableHints(version))
 	if err != nil {
 		return false, 0, err
 	}
@@ -982,7 +968,10 @@ func (s *Service) Update(ctx context.Context, name string, inserts, deletes []en
 	if sess.store != nil && sess.store.ShouldCompact() {
 		// A failed compaction is not a failed update (the batch is already
 		// durable in the WAL); the next batch simply retries.
-		if cerr := sess.store.Compact(next, version); cerr == nil {
+		if cerr := sess.store.Compact(next, version); cerr != nil {
+			s.metrics.compactionFails.Inc()
+			slog.Warn("snapshot compaction failed", "session", name, "version", version, "err", cerr)
+		} else {
 			s.metrics.compactions.Inc()
 		}
 	}

@@ -373,7 +373,7 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 		}
 	}
 	if p != nil {
-		stable, err := core.CheckStableP(work, progPrep)
+		stable, err := core.CheckStableP(nil, work, progPrep, nil)
 		if err != nil {
 			return nil, nil, err
 		}
