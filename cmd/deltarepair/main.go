@@ -145,7 +145,7 @@ func run() error {
 			return err
 		}
 		fmt.Printf("provenance graph written to %s (%d delta nodes, %d layers)\n\n",
-			*dotPath, len(graph.Heads), graph.NumLayers)
+			*dotPath, len(graph.Heads()), graph.NumLayers())
 	}
 	if *reportPath != "" {
 		f, err := os.Create(*reportPath)

@@ -20,6 +20,10 @@ type deriveConfig struct {
 	// capture, when non-nil, records every assignment found into the
 	// provenance graph with its derivation round as the layer (§5.2).
 	capture *provenance.Graph
+	// roundEnds, when non-nil, receives the round boundaries of the
+	// returned derivation: round r (1-based) derived the tuples up to
+	// offset (*roundEnds)[r-1].
+	roundEnds *[]int
 	// maxRounds guards against runaway recursion; 0 means no limit beyond
 	// the natural bound (total tuple count + 1).
 	maxRounds int
@@ -45,7 +49,9 @@ type deriveConfig struct {
 // derive runs seminaive rounds of the prepared delta program over work
 // (mutated in place: deltas always grow; bases shrink only under
 // shrinkBases). It returns the derived delta tuples in derivation order and
-// the number of rounds until fixpoint.
+// the number of rounds until fixpoint. Within a round, tuples appear in the
+// order their first assignment was emitted; tuples that were deltas before
+// the run are never listed.
 //
 // Seminaive justification: under end semantics bases never shrink, so any
 // assignment's validity persists and each assignment is enumerated exactly
@@ -92,6 +98,9 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 
 	ctx := prep.AcquireContext()
 	defer prep.ReleaseContext(ctx)
+	// The per-rule closures below capture these fields, not cfg, so they
+	// stay small however deriveConfig grows.
+	capture, cancel, warmSeeds := cfg.capture, cfg.ctx, cfg.warmSeeds
 
 	for round := 1; ; round++ {
 		if err := ctxErr(cfg.ctx); err != nil {
@@ -107,7 +116,7 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 		// the pre-existing deltas are a fully processed fixpoint, so every
 		// new assignment must bind an inserted tuple.
 		warmRound := cfg.warmSeeds != nil && round == 1
-		seeded := func(rel string) bool { return cfg.warmSeeds[rel] != nil }
+		seeded := func(rel string) bool { return warmSeeds[rel] != nil }
 
 		for ri, pr := range prep.Rules {
 			if warmRound {
@@ -125,16 +134,16 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 			emit := func(asn *datalog.Assignment) bool {
 				head := asn.Head()
 				id := head.TID
-				if cfg.capture != nil {
+				if capture != nil {
 					// AddDerivation keeps the first layer for a known head.
-					cfg.capture.AddDerivation(id, round, provenance.ClauseOf(asn))
+					capture.AddDerivation(round, asn)
 				}
 				if !derivedSet[id] && !newSet[id] && !headDelta.ContainsID(id) {
 					newSet[id] = true
 					newHeads = append(newHeads, head)
 				}
 				emitted++
-				return emitted%evalCheckEvery != 0 || ctxErr(cfg.ctx) == nil
+				return emitted%evalCheckEvery != 0 || ctxErr(cancel) == nil
 			}
 			var err error
 			if warmRound {
@@ -181,6 +190,9 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 				work.Relation(head.Rel).DeleteTuple(head)
 			}
 			work.Delta(head.Rel).Insert(head)
+		}
+		if cfg.roundEnds != nil {
+			*cfg.roundEnds = append(*cfg.roundEnds, len(derivedAll))
 		}
 	}
 	return derivedAll, rounds, nil

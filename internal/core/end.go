@@ -147,7 +147,7 @@ func runEndCaptured(ctx context.Context, db *engine.Database, prep *datalog.Prep
 	res.Optimal = true // unique fixpoint; nothing to optimize
 	res.Timing = Breakdown{Eval: evalDur, Update: updDur}
 	if graph != nil {
-		res.GraphAssignments = graph.NumAssignments()
+		res.GraphAssignments = graph.NumClauses()
 	}
 	return res, work, graph, nil
 }

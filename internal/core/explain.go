@@ -58,9 +58,10 @@ func (e *Explanation) render(b *strings.Builder, depth int) {
 // semantics' result (Prop. 3.20), so results from any executor can be
 // explained.
 //
-// The provenance graph is keyed by interned tuple IDs; the Explainer keeps
-// the database to resolve IDs back to readable content keys when building
-// Explanation trees (the one place this reverse mapping is needed).
+// The provenance graph numbers tuples densely and maps its nodes back to
+// interned tuple IDs; the Explainer keeps the database to resolve those IDs
+// to readable content keys when building Explanation trees (the one place
+// this reverse mapping is needed).
 type Explainer struct {
 	graph *provenance.Graph
 	db    *engine.Database
@@ -81,16 +82,20 @@ func NewExplainer(db *engine.Database, p *datalog.Program) (*Explainer, error) {
 	return &Explainer{graph: graph, db: db}, nil
 }
 
-// keyOf renders a tuple ID as its content key (reporting only).
-func (ex *Explainer) keyOf(id engine.TupleID) string {
-	return ex.db.DisplayKey(id)
+// keyOf renders a graph node as its tuple's content key (reporting only).
+func (ex *Explainer) keyOf(n int32) string {
+	return ex.db.DisplayKey(ex.graph.TupleID(n))
 }
 
 // Explainable reports whether the tuple with the given content key has at
 // least one derivation.
 func (ex *Explainer) Explainable(key string) bool {
 	t := ex.db.Lookup(key)
-	return t != nil && len(ex.graph.Assignments[t.TID]) > 0
+	if t == nil {
+		return false
+	}
+	n, ok := ex.graph.Node(t.TID)
+	return ok && ex.graph.Layer(n) > 0
 }
 
 // Explain returns the first (earliest-layer) derivation of the tuple with
@@ -107,50 +112,55 @@ func (ex *Explainer) Explain(key string) *Explanation {
 
 // ExplainTuple is Explain addressed by tuple.
 func (ex *Explainer) ExplainTuple(t *engine.Tuple) *Explanation {
-	return ex.explain(t.TID, make(map[engine.TupleID]bool))
-}
-
-func (ex *Explainer) explain(id engine.TupleID, onPath map[engine.TupleID]bool) *Explanation {
-	clauses := ex.graph.Assignments[id]
-	if len(clauses) == 0 || onPath[id] {
+	n, ok := ex.graph.Node(t.TID)
+	if !ok {
 		return nil
 	}
-	onPath[id] = true
-	defer delete(onPath, id)
+	return ex.explain(n, make(map[int32]bool))
+}
+
+func (ex *Explainer) explain(n int32, onPath map[int32]bool) *Explanation {
+	g := ex.graph
+	if g.Layer(n) == 0 || onPath[n] {
+		return nil
+	}
+	onPath[n] = true
+	defer delete(onPath, n)
 
 	// Choose the clause whose delta dependencies sit in the earliest
 	// layers (the most "direct" derivation), deterministically.
 	best := -1
 	bestScore := 1 << 30
-	for i, c := range clauses {
+	for _, c := range g.HeadClauses(n) {
 		score := 0
 		ok := true
-		for _, dep := range c.Neg {
-			l, known := ex.graph.Layer[dep]
-			if !known || onPath[dep] {
+		_, neg := g.Clause(int(c))
+		for _, dep := range neg {
+			l := g.Layer(dep)
+			if l == 0 || onPath[dep] {
 				ok = false
 				break
 			}
 			score += l
 		}
 		if ok && score < bestScore {
-			best, bestScore = i, score
+			best, bestScore = int(c), score
 		}
 	}
 	if best < 0 {
 		return nil
 	}
-	c := clauses[best]
-	e := &Explanation{Tuple: ex.keyOf(id), Layer: ex.graph.Layer[id]}
-	for _, pos := range c.Pos {
-		if pos != id {
-			e.Because = append(e.Because, ex.keyOf(pos))
+	pos, neg := g.Clause(best)
+	e := &Explanation{Tuple: ex.keyOf(n), Layer: g.Layer(n)}
+	for _, p := range pos {
+		if p != n {
+			e.Because = append(e.Because, ex.keyOf(p))
 		}
 	}
 	sort.Strings(e.Because)
-	deps := make([]string, 0, len(c.Neg))
-	depOf := make(map[string]engine.TupleID, len(c.Neg))
-	for _, dep := range c.Neg {
+	deps := make([]string, 0, len(neg))
+	depOf := make(map[string]int32, len(neg))
+	for _, dep := range neg {
 		k := ex.keyOf(dep)
 		deps = append(deps, k)
 		depOf[k] = dep

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/datalog"
@@ -113,25 +112,25 @@ func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog
 		return nil, errTooManyClauses(maxClauses)
 	}
 
-	// Tie preference: try end-derivable tuples first (deepest layer first),
-	// steering equal-cost optima toward sets other semantics contain.
+	// Tie preference: try end-derivable tuples first (deepest layer first,
+	// derivation order within a layer), steering equal-cost optima toward
+	// sets other semantics contain. The layer of an end-derivable tuple is
+	// the derivation round it first appears in, so the uncaptured run's
+	// round boundaries are all the preference needs. derive does not list
+	// tuples that were deltas before the run; their variables are forced
+	// true by the unit clauses above, so their rank is never consulted.
 	if !opts.DisablePreferDerivable {
-		if _, _, graph, err := runEndCaptured(ctx, db, prep, true); err == nil {
-			heads := append([]engine.TupleID(nil), graph.Heads...)
-			idx := make(map[engine.TupleID]int, len(heads))
-			for i, h := range heads {
-				idx[h] = i
-			}
-			sort.SliceStable(heads, func(i, j int) bool {
-				li, lj := graph.Layer[heads[i]], graph.Layer[heads[j]]
-				if li != lj {
-					return li > lj
+		var ends []int
+		if derived, _, err := derive(db.Fork(), prep, deriveConfig{ctx: ctx, roundEnds: &ends}); err == nil {
+			for r := len(ends) - 1; r >= 0; r-- {
+				lo := 0
+				if r > 0 {
+					lo = ends[r-1]
 				}
-				return idx[heads[i]] < idx[heads[j]]
-			})
-			for _, h := range heads {
-				if v, ok := ic.varOf[h]; ok {
-					ic.prefer = append(ic.prefer, v)
+				for _, t := range derived[lo:ends[r]] {
+					if v, ok := ic.varOf[t.TID]; ok {
+						ic.prefer = append(ic.prefer, v)
+					}
 				}
 			}
 		}

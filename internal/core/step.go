@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/datalog"
@@ -56,51 +55,65 @@ func runStepGreedy(ctx context.Context, db *engine.Database, prep *datalog.Prepa
 		return nil, nil, err
 	}
 
-	// Phase 2 (ProcessProv): flatten the graph into indexed clauses and
-	// compute benefits. Everything is keyed by interned tuple IDs; no
-	// content keys exist on this path.
+	// Phase 2 (ProcessProv): occurrence lists, benefits and the per-layer
+	// selection order, all over the graph's dense node numbers; no maps and
+	// no content keys exist on this path.
 	ppStart := time.Now()
-	type flatClause struct {
-		head     engine.TupleID
-		pos, neg []engine.TupleID
+	nodes, nc := graph.NumNodes(), graph.NumClauses()
+	alive := make([]int32, nodes) // head node -> clauses deriving it that are not void
+	posOcc := newOccurrences(nodes)
+	negOcc := newOccurrences(nodes)
+	for c := range nc {
+		h := graph.ClauseHead(c)
+		alive[h]++
+		pos, neg := graph.Clause(c)
+		for _, v := range pos {
+			if v != h {
+				posOcc.count(v)
+			}
+		}
+		for _, v := range neg {
+			negOcc.count(v)
+		}
 	}
-	var clauses []flatClause
-	headAlive := make(map[engine.TupleID]int, len(graph.Heads))
-	posIdx := make(map[engine.TupleID][]int32) // tuple -> clause ids where it ∈ Pos, ≠ head
-	negIdx := make(map[engine.TupleID][]int32) // tuple -> clause ids where it ∈ Neg
-	for _, h := range graph.Heads {
-		for _, c := range graph.Assignments[h] {
-			ci := int32(len(clauses))
-			clauses = append(clauses, flatClause{head: h, pos: c.Pos, neg: c.Neg})
-			headAlive[h]++
-			for _, id := range c.Pos {
-				if id != h {
-					posIdx[id] = append(posIdx[id], ci)
-				}
+	posOcc.alloc()
+	negOcc.alloc()
+	for c := range nc {
+		h := graph.ClauseHead(c)
+		pos, neg := graph.Clause(c)
+		for _, v := range pos {
+			if v != h {
+				posOcc.add(v, int32(c))
 			}
-			for _, id := range c.Neg {
-				negIdx[id] = append(negIdx[id], ci)
-			}
+		}
+		for _, v := range neg {
+			negOcc.add(v, int32(c))
 		}
 	}
 	benefits := graph.Benefits()
 
-	// Pre-sort each layer's heads by (benefit desc, derivation order asc).
-	layerOrder := make([][]engine.TupleID, graph.NumLayers+1)
-	derivIdx := make(map[engine.TupleID]int, len(graph.Heads))
-	for i, h := range graph.Heads {
-		derivIdx[h] = i
-		l := graph.Layer[h]
-		layerOrder[l] = append(layerOrder[l], h)
+	// Group the heads by layer (derivation order within a layer), then
+	// order each layer by benefit, descending; the stable sort keeps
+	// derivation order among equal benefits.
+	numLayers := graph.NumLayers()
+	layerStart := make([]int32, numLayers+2)
+	for _, h := range graph.Heads() {
+		layerStart[graph.Layer(h)+1]++
+	}
+	for l := 1; l <= numLayers+1; l++ {
+		layerStart[l] += layerStart[l-1]
+	}
+	byLayer := make([]int32, len(graph.Heads()))
+	fill := slices.Clone(layerStart)
+	for _, h := range graph.Heads() {
+		l := graph.Layer(h)
+		byLayer[fill[l]] = h
+		fill[l]++
 	}
 	if !opts.IgnoreBenefits {
-		for _, heads := range layerOrder {
-			sort.SliceStable(heads, func(i, j int) bool {
-				bi, bj := benefits[heads[i]], benefits[heads[j]]
-				if bi != bj {
-					return bi > bj
-				}
-				return derivIdx[heads[i]] < derivIdx[heads[j]]
+		for l := 1; l <= numLayers; l++ {
+			slices.SortStableFunc(byLayer[layerStart[l]:layerStart[l+1]], func(a, b int32) int {
+				return cmp.Compare(benefits[b], benefits[a])
 			})
 		}
 	}
@@ -111,47 +124,44 @@ func runStepGreedy(ctx context.Context, db *engine.Database, prep *datalog.Prepa
 
 	// Phase 3 (Traverse): greedy selection with cascading pruning.
 	trStart := time.Now()
-	inS := make(map[engine.TupleID]bool)
-	removed := make(map[engine.TupleID]bool)
-	void := make([]bool, len(clauses))
-	var order []engine.TupleID
+	inS := make([]bool, nodes)
+	removed := make([]bool, nodes)
+	void := make([]bool, nc)
+	var order []int32
 
-	var voidClause func(ci int32)
-	var removeHead func(h engine.TupleID)
-	voidClause = func(ci int32) {
-		if void[ci] {
+	var voidClause func(c int32)
+	var removeHead func(h int32)
+	voidClause = func(c int32) {
+		if void[c] {
 			return
 		}
-		void[ci] = true
-		h := clauses[ci].head
-		headAlive[h]--
-		if headAlive[h] == 0 && !inS[h] && !removed[h] {
+		void[c] = true
+		h := graph.ClauseHead(int(c))
+		alive[h]--
+		if alive[h] == 0 && !inS[h] && !removed[h] {
 			removeHead(h)
 		}
 	}
-	removeHead = func(h engine.TupleID) {
+	removeHead = func(h int32) {
 		removed[h] = true
 		// Clauses requiring ∆(h) as a delta dependency are now void
 		// (h was neither deleted nor remains derivable).
-		for _, ci := range negIdx[h] {
-			voidClause(ci)
+		for _, c := range negOcc.of(h) {
+			voidClause(c)
 		}
 	}
-	addToS := func(t engine.TupleID) {
+	addToS := func(t int32) {
 		inS[t] = true
 		order = append(order, t)
 		// Deleting t voids every assignment using t positively (other than
 		// deriving ∆(t) itself).
-		for _, ci := range posIdx[t] {
-			voidClause(ci)
+		for _, c := range posOcc.of(t) {
+			voidClause(c)
 		}
 	}
 
-	for layer := 1; layer <= graph.NumLayers; layer++ {
-		for _, h := range layerOrder[layer] {
-			if inS[h] || removed[h] {
-				continue
-			}
+	for _, h := range byLayer {
+		if !inS[h] && !removed[h] {
 			addToS(h)
 		}
 	}
@@ -162,7 +172,8 @@ func runStepGreedy(ctx context.Context, db *engine.Database, prep *datalog.Prepa
 	updStart := time.Now()
 	work := db.Fork()
 	deleted := make([]*engine.Tuple, 0, len(order))
-	for _, id := range order {
+	for _, v := range order {
+		id := graph.TupleID(v)
 		t := db.LookupID(id)
 		if t == nil || !work.DeleteTupleToDelta(t) {
 			return nil, nil, fmt.Errorf("core: step semantics selected unknown tuple t%d", id)
@@ -172,8 +183,8 @@ func runStepGreedy(ctx context.Context, db *engine.Database, prep *datalog.Prepa
 	updDur := time.Since(updStart)
 
 	res := newResult(SemStep, deleted)
-	res.Rounds = graph.NumLayers
-	res.GraphAssignments = len(clauses)
+	res.Rounds = numLayers
+	res.GraphAssignments = nc
 	res.Timing = Breakdown{
 		Eval:        endRes.Timing.Eval,
 		ProcessProv: ppDur,
@@ -182,6 +193,34 @@ func runStepGreedy(ctx context.Context, db *engine.Database, prep *datalog.Prepa
 	}
 	return res, work, nil
 }
+
+// occurrences lists, per graph node, the clauses the node occurs in, in
+// clause order: node v's clauses are list[start[v]:start[v+1]]. Build it in
+// two passes over the same occurrences: count each, alloc, then add each.
+type occurrences struct {
+	start, list, fill []int32
+}
+
+func newOccurrences(nodes int) *occurrences {
+	return &occurrences{start: make([]int32, nodes+1)}
+}
+
+func (o *occurrences) count(v int32) { o.start[v+1]++ }
+
+func (o *occurrences) alloc() {
+	for v := 1; v < len(o.start); v++ {
+		o.start[v] += o.start[v-1]
+	}
+	o.list = make([]int32, o.start[len(o.start)-1])
+	o.fill = slices.Clone(o.start)
+}
+
+func (o *occurrences) add(v, c int32) {
+	o.list[o.fill[v]] = c
+	o.fill[v]++
+}
+
+func (o *occurrences) of(v int32) []int32 { return o.list[o.start[v]:o.start[v+1]] }
 
 // StepExhaustiveOptions bounds the exhaustive search.
 type StepExhaustiveOptions struct {

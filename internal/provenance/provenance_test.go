@@ -1,7 +1,7 @@
 package provenance
 
 import (
-	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,6 +16,24 @@ func simpleSchema() *engine.Schema {
 	return s
 }
 
+// tuples resolves nodes back to tuple IDs.
+func tuples(g *Graph, nodes []int32) []engine.TupleID {
+	out := make([]engine.TupleID, len(nodes))
+	for i, n := range nodes {
+		out[i] = g.TupleID(n)
+	}
+	return out
+}
+
+// benefitOf is the benefit of a tuple (0 when the graph never mentions it).
+func benefitOf(g *Graph, b []int32, id engine.TupleID) int {
+	n, ok := g.Node(id)
+	if !ok {
+		return 0
+	}
+	return int(b[n])
+}
+
 func TestClauseOfSeparatesPosAndNeg(t *testing.T) {
 	s := simpleSchema()
 	db := engine.NewDatabase(s)
@@ -27,25 +45,28 @@ func TestClauseOfSeparatesPosAndNeg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var clauses []Clause
+	g := NewGraph()
 	if err := datalog.EvalRuleOnDB(db, p.Rules[0], func(a *datalog.Assignment) bool {
-		clauses = append(clauses, ClauseOf(a))
+		g.AddDerivation(1, a)
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(clauses) != 1 {
-		t.Fatalf("clauses = %d, want 1", len(clauses))
+	if g.NumClauses() != 1 {
+		t.Fatalf("clauses = %d, want 1", g.NumClauses())
 	}
-	c := clauses[0]
-	if len(c.Pos) != 1 || c.Pos[0] != r1.TID {
-		t.Fatalf("Pos = %v, want [%d]", c.Pos, r1.TID)
+	pos, neg := g.Clause(0)
+	if got := tuples(g, pos); !slices.Equal(got, []engine.TupleID{r1.TID}) {
+		t.Fatalf("pos = %v, want [%d]", got, r1.TID)
 	}
-	if len(c.Neg) != 1 || c.Neg[0] != s1.TID {
-		t.Fatalf("Neg = %v, want [%d]", c.Neg, s1.TID)
+	if got := tuples(g, neg); !slices.Equal(got, []engine.TupleID{s1.TID}) {
+		t.Fatalf("neg = %v, want [%d]", got, s1.TID)
 	}
-	if !strings.Contains(c.String(), fmt.Sprintf("¬t%d", s1.TID)) {
-		t.Fatalf("String = %q missing negation", c.String())
+	if h := g.ClauseHead(0); g.TupleID(h) != r1.TID || g.Layer(h) != 1 {
+		t.Fatalf("head = t%d at layer %d, want t%d at layer 1", g.TupleID(h), g.Layer(h), r1.TID)
+	}
+	if n, _ := g.Node(s1.TID); g.Layer(n) != 0 {
+		t.Fatal("a delta dependency is not a head")
 	}
 }
 
@@ -58,78 +79,112 @@ func TestClauseOfDeduplicatesRepeatedTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c Clause
+	g := NewGraph()
 	datalog.EvalRuleOnDB(db, p.Rules[0], func(a *datalog.Assignment) bool {
-		c = ClauseOf(a)
+		g.AddDerivation(1, a)
 		return false
 	})
-	if len(c.Pos) != 1 {
-		t.Fatalf("Pos = %v, want single deduplicated entry", c.Pos)
+	if pos, _ := g.Clause(0); len(pos) != 1 {
+		t.Fatalf("pos = %v, want single deduplicated entry", pos)
 	}
 }
 
 func TestClauseSigOrderInsensitive(t *testing.T) {
-	a := Clause{Pos: []engine.TupleID{1, 2}, Neg: []engine.TupleID{3}}
+	ids := func(xs ...engine.TupleID) []engine.TupleID { return xs }
 	g := NewGraph()
-	if !g.AddDerivation(9, 1, a) {
+	if !g.Add(9, 1, ids(9, 1, 2), ids(3)) {
 		t.Fatal("first derivation should be recorded")
 	}
-	if g.AddDerivation(9, 1, Clause{Pos: []engine.TupleID{2, 1}, Neg: []engine.TupleID{3}}) {
-		t.Fatal("canonical sigs should ignore Pos order")
+	if g.Add(9, 1, ids(2, 9, 1), ids(3)) {
+		t.Fatal("dedup should ignore positive order")
 	}
-	if !g.AddDerivation(9, 1, Clause{Pos: []engine.TupleID{1}, Neg: []engine.TupleID{2, 3}}) {
-		t.Fatal("different clauses must have different sigs")
+	if !g.Add(9, 1, ids(9, 1), ids(2, 3)) {
+		t.Fatal("different clauses must both be recorded")
 	}
-	// Pos vs Neg placement matters.
-	if !g.AddDerivation(9, 1, Clause{Pos: []engine.TupleID{1, 2, 3}}) {
-		t.Fatal("sign placement must be part of the sig")
+	if g.Add(9, 1, ids(1, 9), ids(3, 2)) {
+		t.Fatal("dedup should ignore negative order")
 	}
-	// The head is part of the sig.
-	if !g.AddDerivation(8, 1, a) {
-		t.Fatal("head must be part of the sig")
+	// Positive vs negative placement matters.
+	if !g.Add(9, 1, ids(9, 1, 2, 3), nil) {
+		t.Fatal("sign placement must be part of the key")
 	}
-	if g.NumAssignments() != 4 {
-		t.Fatalf("NumAssignments = %d, want 4", g.NumAssignments())
+	// The head is part of the key.
+	if !g.Add(8, 1, ids(9, 1, 2), ids(3)) {
+		t.Fatal("head must be part of the key")
+	}
+	if g.NumClauses() != 4 {
+		t.Fatalf("NumClauses = %d, want 4", g.NumClauses())
+	}
+	// Emission order per head survives the dedup.
+	n9, _ := g.Node(9)
+	if got := g.HeadClauses(n9); !slices.Equal(got, []int32{0, 1, 2}) {
+		t.Fatalf("clauses of t9 = %v, want [0 1 2]", got)
+	}
+	// The stored runs keep their first-seen order.
+	if pos, _ := g.Clause(0); !slices.Equal(tuples(g, pos), ids(9, 1, 2)) {
+		t.Fatalf("clause 0 positives = %v", tuples(g, pos))
+	}
+}
+
+// TestGraphDedupAcrossGrowth records enough distinct clauses to grow the
+// dedup table several times, then replays them all with each run reversed:
+// every replay must be recognised as a duplicate.
+func TestGraphDedupAcrossGrowth(t *testing.T) {
+	g := NewGraph()
+	const n = 500
+	for i := range engine.TupleID(n) {
+		if !g.Add(i%7, 1, []engine.TupleID{i % 7, 1000 + i, 2000 + i}, []engine.TupleID{3000 + i%3, 4000 + i}) {
+			t.Fatalf("clause %d not recorded", i)
+		}
+	}
+	for i := range engine.TupleID(n) {
+		if g.Add(i%7, 2, []engine.TupleID{2000 + i, 1000 + i, i % 7}, []engine.TupleID{4000 + i, 3000 + i%3}) {
+			t.Fatalf("reordered clause %d recorded twice", i)
+		}
+	}
+	if g.NumClauses() != n || g.NumLayers() != 1 || len(g.Heads()) != 7 {
+		t.Fatalf("clauses %d layers %d heads %d", g.NumClauses(), g.NumLayers(), len(g.Heads()))
 	}
 }
 
 func TestGraphLayersAndBenefits(t *testing.T) {
 	// IDs: g=1, a4=2, ag4=3, a5=4, ag5=5.
 	const g, a4, ag4, a5, ag5 = 1, 2, 3, 4, 5
+	ids := func(xs ...engine.TupleID) []engine.TupleID { return xs }
 	gr := NewGraph()
-	// Layer 1: ∆(g) via {g}; layer 2: ∆(a) via {a, ag, ¬g} twice-ish.
-	if !gr.AddDerivation(g, 1, Clause{Pos: []engine.TupleID{g}}) {
+	// Layer 1: ∆(g) via {g}; layer 2: ∆(a) via {a, ag, ¬g}.
+	if !gr.Add(g, 1, ids(g), nil) {
 		t.Fatal("first derivation should record")
 	}
-	gr.AddDerivation(a4, 2, Clause{Pos: []engine.TupleID{a4, ag4}, Neg: []engine.TupleID{g}})
-	gr.AddDerivation(a5, 2, Clause{Pos: []engine.TupleID{a5, ag5}, Neg: []engine.TupleID{g}})
+	gr.Add(a4, 2, ids(a4, ag4), ids(g))
+	gr.Add(a5, 2, ids(a5, ag5), ids(g))
 	// Duplicate clause for a4 dropped.
-	if gr.AddDerivation(a4, 3, Clause{Pos: []engine.TupleID{a4, ag4}, Neg: []engine.TupleID{g}}) {
+	if gr.Add(a4, 3, ids(a4, ag4), ids(g)) {
 		t.Fatal("duplicate clause should be dropped")
 	}
 	// Layer is fixed by the first derivation.
-	if gr.Layer[a4] != 2 {
-		t.Fatalf("layer = %d, want 2", gr.Layer[a4])
+	if n, _ := gr.Node(a4); gr.Layer(n) != 2 {
+		t.Fatalf("layer = %d, want 2", gr.Layer(n))
 	}
-	if gr.NumLayers != 2 {
-		t.Fatalf("NumLayers = %d, want 2", gr.NumLayers)
+	if gr.NumLayers() != 2 {
+		t.Fatalf("NumLayers = %d, want 2", gr.NumLayers())
 	}
-	if heads := gr.LayerHeads(2); len(heads) != 2 {
-		t.Fatalf("layer-2 heads = %v", heads)
+	if got := tuples(gr, gr.Heads()); !slices.Equal(got, ids(g, a4, a5)) {
+		t.Fatalf("heads = %v", got)
 	}
-	if gr.NumAssignments() != 3 {
-		t.Fatalf("NumAssignments = %d, want 3", gr.NumAssignments())
+	if gr.NumClauses() != 3 {
+		t.Fatalf("NumClauses = %d, want 3", gr.NumClauses())
 	}
 	b := gr.Benefits()
 	// g: +1 (own assignment) -2 (delta dep of two a assignments) = -1.
-	if b[g] != -1 {
-		t.Fatalf("benefit[g] = %d, want -1", b[g])
+	if benefitOf(gr, b, g) != -1 {
+		t.Fatalf("benefit[g] = %d, want -1", benefitOf(gr, b, g))
 	}
 	// a4: +1; ag4: +1.
-	if b[a4] != 1 || b[ag4] != 1 {
+	if benefitOf(gr, b, a4) != 1 || benefitOf(gr, b, ag4) != 1 {
 		t.Fatalf("benefits = %v", b)
 	}
-	if s := gr.String(); !strings.Contains(s, "layer 1:") || !strings.Contains(s, "layer 2:") {
+	if s := gr.String(); !strings.Contains(s, "layer 1: t1[1]") || !strings.Contains(s, "layer 2: t2[1] t4[1]") {
 		t.Fatalf("String = %q", s)
 	}
 }
@@ -144,17 +199,17 @@ func TestGraphMatchesPaperFigure5(t *testing.T) {
 	ids := func(xs ...engine.TupleID) []engine.TupleID { return xs }
 	g := NewGraph()
 	// Rule (0): ∆(g2) from {g2}.
-	g.AddDerivation(g2, 1, Clause{Pos: ids(g2)})
+	g.Add(g2, 1, ids(g2), nil)
 	// Rule (1): ∆(a2) from {a2, ag2, ¬g2}; ∆(a3) from {a3, ag3, ¬g2}.
-	g.AddDerivation(a2, 2, Clause{Pos: ids(a2, ag2), Neg: ids(g2)})
-	g.AddDerivation(a3, 2, Clause{Pos: ids(a3, ag3), Neg: ids(g2)})
+	g.Add(a2, 2, ids(a2, ag2), ids(g2))
+	g.Add(a3, 2, ids(a3, ag3), ids(g2))
 	// Rules (2)/(3): ∆(p1), ∆(w1) from {p1, w1, ¬a2}; ∆(p2), ∆(w2) from {p2, w2, ¬a3}.
-	g.AddDerivation(p1, 3, Clause{Pos: ids(p1, w1), Neg: ids(a2)})
-	g.AddDerivation(w1, 3, Clause{Pos: ids(p1, w1), Neg: ids(a2)})
-	g.AddDerivation(p2, 3, Clause{Pos: ids(p2, w2), Neg: ids(a3)})
-	g.AddDerivation(w2, 3, Clause{Pos: ids(p2, w2), Neg: ids(a3)})
+	g.Add(p1, 3, ids(p1, w1), ids(a2))
+	g.Add(w1, 3, ids(p1, w1), ids(a2))
+	g.Add(p2, 3, ids(p2, w2), ids(a3))
+	g.Add(w2, 3, ids(p2, w2), ids(a3))
 	// Rule (4): ∆(c) from {c, w1, w2, ¬p1}.
-	g.AddDerivation(c, 4, Clause{Pos: ids(c, w1, w2), Neg: ids(p1)})
+	g.Add(c, 4, ids(c, w1, w2), ids(p1))
 
 	b := g.Benefits()
 	want := map[engine.TupleID]int{
@@ -168,11 +223,11 @@ func TestGraphMatchesPaperFigure5(t *testing.T) {
 		c:  1,
 	}
 	for k, wv := range want {
-		if b[k] != wv {
-			t.Errorf("benefit[t%d] = %d, want %d", k, b[k], wv)
+		if got := benefitOf(g, b, k); got != wv {
+			t.Errorf("benefit[t%d] = %d, want %d", k, got, wv)
 		}
 	}
-	if g.NumLayers != 4 {
-		t.Fatalf("NumLayers = %d, want 4", g.NumLayers)
+	if g.NumLayers() != 4 {
+		t.Fatalf("NumLayers = %d, want 4", g.NumLayers())
 	}
 }

@@ -25,7 +25,7 @@ func escape(s string) string {
 // participating tuple to each delta tuple it helps derive (solid for
 // positive participation, dashed for delta dependencies).
 //
-// The graph identifies tuples by interned ID; name resolves an ID to its
+// The graph maps its nodes to interned tuple IDs; name resolves an ID to its
 // display label (typically Database.LookupID + Tuple.Key). A nil name
 // renders bare "t<id>" labels.
 func ProvenanceDOT(g *provenance.Graph, name func(engine.TupleID) string) string {
@@ -39,31 +39,37 @@ func ProvenanceDOT(g *provenance.Graph, name func(engine.TupleID) string) string
 	benefits := g.Benefits()
 
 	// Delta nodes grouped per layer with rank=same.
-	for layer := 1; layer <= g.NumLayers; layer++ {
-		heads := g.LayerHeads(layer)
+	for layer := 1; layer <= g.NumLayers(); layer++ {
+		var heads []int32
+		for _, h := range g.Heads() {
+			if g.Layer(h) == layer {
+				heads = append(heads, h)
+			}
+		}
 		if len(heads) == 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "  { rank=same; // layer %d\n", layer)
 		for _, h := range heads {
-			n := name(h)
+			n := name(g.TupleID(h))
 			fmt.Fprintf(&b, "    \"d:%s\" [label=\"Δ(%s)\", shape=ellipse];\n", escape(n), escape(n))
 		}
 		b.WriteString("  }\n")
 	}
 
-	// Base tuple nodes: every tuple mentioned in any clause.
-	baseSeen := make(map[engine.TupleID]bool)
+	// Base tuple nodes: every tuple mentioned positively in any clause.
+	baseSeen := make([]bool, g.NumNodes())
 	var baseOrder []string
-	benefitOf := make(map[string]int)
-	for _, h := range g.Heads {
-		for _, c := range g.Assignments[h] {
-			for _, id := range c.Pos {
-				if !baseSeen[id] {
-					baseSeen[id] = true
-					n := name(id)
+	benefitOf := make(map[string]int32)
+	for _, h := range g.Heads() {
+		for _, c := range g.HeadClauses(h) {
+			pos, _ := g.Clause(int(c))
+			for _, v := range pos {
+				if !baseSeen[v] {
+					baseSeen[v] = true
+					n := name(g.TupleID(v))
 					baseOrder = append(baseOrder, n)
-					benefitOf[n] = benefits[id]
+					benefitOf[n] = benefits[v]
 				}
 			}
 		}
@@ -84,14 +90,15 @@ func ProvenanceDOT(g *provenance.Graph, name func(engine.TupleID) string) string
 		edgeSeen[key] = true
 		fmt.Fprintf(&b, "  %s -> %s [style=%s];\n", from, to, style)
 	}
-	for _, h := range g.Heads {
-		target := fmt.Sprintf("\"d:%s\"", escape(name(h)))
-		for _, c := range g.Assignments[h] {
-			for _, id := range c.Pos {
-				edge(fmt.Sprintf("\"t:%s\"", escape(name(id))), target, "solid")
+	for _, h := range g.Heads() {
+		target := fmt.Sprintf("\"d:%s\"", escape(name(g.TupleID(h))))
+		for _, c := range g.HeadClauses(h) {
+			pos, neg := g.Clause(int(c))
+			for _, v := range pos {
+				edge(fmt.Sprintf("\"t:%s\"", escape(name(g.TupleID(v)))), target, "solid")
 			}
-			for _, id := range c.Neg {
-				edge(fmt.Sprintf("\"d:%s\"", escape(name(id))), target, "dashed")
+			for _, v := range neg {
+				edge(fmt.Sprintf("\"d:%s\"", escape(name(g.TupleID(v)))), target, "dashed")
 			}
 		}
 	}
