@@ -200,13 +200,26 @@ func TestEnumerateDeterminism(t *testing.T) {
 		t.Fatalf("forked enumeration diverged:\n %v\n %v", spaceKeys(got), want)
 	}
 
-	// Parallel rule evaluation.
-	got, err = EnumerateRepairsWith(academicDB(), p, Options{Parallelism: 4}, EnumerateOptions{K: 6})
+	// A prepared plan whose pooled derivation scratch and execution
+	// contexts were just used by step (captured end run), stage (shrinking
+	// bases) and independent (uncaptured tie-preference run) on other
+	// instances of the program.
+	used := academicDB()
+	usedPrep, err := datalog.Prepare(p, used.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sem := range []Semantics{SemStep, SemStage, SemIndependent} {
+		if _, _, err := RunWith(academicDB(), p, sem, Options{Prepared: usedPrep}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err = EnumerateRepairsWith(used, p, Options{Prepared: usedPrep}, EnumerateOptions{K: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(spaceKeys(got), want) {
-		t.Fatalf("parallel enumeration diverged:\n %v\n %v", spaceKeys(got), want)
+		t.Fatalf("enumeration on a reused prepared plan diverged:\n %v\n %v", spaceKeys(got), want)
 	}
 
 	// Save/load round trip.

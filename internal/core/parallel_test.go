@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -52,5 +53,24 @@ func TestPropertyParallelDeterminism(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRunAllParallelRecoversPanic: a panic inside one semantics' goroutine
+// comes back as an error naming that semantics instead of killing the
+// process.
+func TestRunAllParallelRecoversPanic(t *testing.T) {
+	runAllParallelHook = func(sem Semantics) {
+		if sem == SemStep {
+			panic("injected fault")
+		}
+	}
+	defer func() { runAllParallelHook = nil }()
+	res, err := RunAllParallel(academicDB(), academicProgram(t))
+	if err == nil {
+		t.Fatalf("want an error, got results %v", res)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "step semantics panicked") || !strings.Contains(msg, "injected fault") {
+		t.Fatalf("error %q should name the semantics and the panic", msg)
 	}
 }

@@ -140,6 +140,10 @@ func RunAll(db *engine.Database, p *datalog.Program) (map[Semantics]*Result, err
 	return out, nil
 }
 
+// runAllParallelHook, when non-nil, runs at the start of each of
+// RunAllParallel's goroutines; tests set it to inject faults.
+var runAllParallelHook func(Semantics)
+
 // RunAllParallel is RunAll with one goroutine per semantics. Every
 // executor works on a private copy-on-write fork of one frozen base and
 // the executors share no mutable state, so results are identical to the
@@ -147,7 +151,9 @@ func RunAll(db *engine.Database, p *datalog.Program) (map[Semantics]*Result, err
 // semantics (usually independent). The forks share the snapshot's warm
 // indexes — the first executor to probe a column builds it once and every
 // other fork reads it — so, unlike the old deep-clone fan-out, parallel
-// execution no longer repeats index construction per goroutine.
+// execution no longer repeats index construction per goroutine. A panic in
+// one semantics' goroutine is recovered and returned as that semantics'
+// error.
 func RunAllParallel(db *engine.Database, p *datalog.Program) (map[Semantics]*Result, error) {
 	// Freeze once up front (Freeze mutates the database's representation,
 	// so it must not race with the executors), then hand each goroutine a
@@ -164,6 +170,15 @@ func RunAllParallel(db *engine.Database, p *datalog.Program) (map[Semantics]*Res
 		wg.Add(1)
 		go func(i int, sem Semantics) {
 			defer wg.Done()
+			// A panicking executor fails its own semantics, not the process.
+			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = fmt.Errorf("core: %s semantics panicked: %v", sem, r)
+				}
+			}()
+			if runAllParallelHook != nil {
+				runAllParallelHook(sem)
+			}
 			results[i], _, errs[i] = Run(forks[i], p, sem)
 		}(i, sem)
 	}

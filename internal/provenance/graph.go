@@ -143,20 +143,6 @@ func (g *Graph) AddDerivation(layer int, asn *datalog.Assignment) bool {
 	return g.commit(head, layer, start, split)
 }
 
-// Add is AddDerivation for a clause given as tuple IDs: ∆(head) derived at
-// layer from the positives pos and the delta dependencies neg.
-func (g *Graph) Add(head engine.TupleID, layer int, pos, neg []engine.TupleID) bool {
-	start := len(g.lits)
-	for _, id := range pos {
-		g.addLit(start, id)
-	}
-	split := len(g.lits)
-	for _, id := range neg {
-		g.addLit(split, id)
-	}
-	return g.commit(g.node(head), layer, start, split)
-}
-
 // node returns id's node, numbering it on first sight.
 func (g *Graph) node(id engine.TupleID) int32 {
 	n, ok := g.nodeOf[id]

@@ -59,14 +59,32 @@ const (
 	FsyncNever
 )
 
+// walFile is the part of *os.File the log writes through; tests substitute
+// a fault-injecting fake.
+type walFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // Log is an append-only write-ahead log of Records. Appends are
 // serialized internally; one Log has one writer file handle.
+//
+// The log fails stop: the first failed or short write, and the first
+// failed fsync, is sticky. Every later Append, Sync and Reset returns that
+// error, so no record is acknowledged after a failure — a torn frame in
+// the middle of the file would make recovery truncate away every record
+// behind it — and fsync is never retried, since after a failed fsync the
+// kernel may already have dropped the dirty pages it could not write.
+// Reopening the log (which repairs a torn tail) clears the failure.
 type Log struct {
 	mu     sync.Mutex
-	f      *os.File
+	f      walFile
 	path   string
 	fsync  FsyncPolicy
-	count  int // records appended since open (compaction cadence)
+	count  int   // records appended since open (compaction cadence)
+	failed error // sticky write or fsync failure; nil while healthy
 	closed bool
 }
 
@@ -77,6 +95,12 @@ func OpenLog(path string, fsync FsyncPolicy) (*Log, error) {
 		return nil, err
 	}
 	return &Log{f: f, path: path, fsync: fsync}, nil
+}
+
+// fail records the log's first write or fsync failure and returns it.
+func (l *Log) fail(err error) error {
+	l.failed = fmt.Errorf("durability: WAL %s failed, log is read-only until reopened: %w", l.path, err)
+	return l.failed
 }
 
 // EncodeRecord frames one record: header plus self-contained gob payload.
@@ -107,12 +131,18 @@ func (l *Log) Append(rec *Record) error {
 	if l.closed {
 		return errors.New("durability: append to closed log")
 	}
-	if _, err := l.f.Write(buf); err != nil {
-		return fmt.Errorf("durability: appending WAL record: %w", err)
+	if l.failed != nil {
+		return l.failed
+	}
+	if n, err := l.f.Write(buf); err != nil || n != len(buf) {
+		if err == nil {
+			err = io.ErrShortWrite
+		}
+		return l.fail(fmt.Errorf("appending record: %w", err))
 	}
 	if l.fsync == FsyncAlways {
 		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("durability: fsync WAL: %w", err)
+			return l.fail(fmt.Errorf("fsync: %w", err))
 		}
 	}
 	l.count++
@@ -136,6 +166,9 @@ func (l *Log) Reset() error {
 	if l.closed {
 		return errors.New("durability: reset of closed log")
 	}
+	if l.failed != nil {
+		return l.failed
+	}
 	if err := l.f.Truncate(0); err != nil {
 		return fmt.Errorf("durability: truncating WAL after compaction: %w", err)
 	}
@@ -150,10 +183,17 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return nil
 	}
-	return l.f.Sync()
+	if l.failed != nil {
+		return l.failed
+	}
+	if err := l.f.Sync(); err != nil {
+		return l.fail(fmt.Errorf("fsync: %w", err))
+	}
+	return nil
 }
 
-// Close flushes and closes the log. Further Appends fail.
+// Close flushes and closes the log. Further Appends fail. A failed log is
+// closed without another fsync and reports its failure.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -161,6 +201,10 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	if l.failed != nil {
+		l.f.Close()
+		return l.failed
+	}
 	if err := l.f.Sync(); err != nil {
 		l.f.Close()
 		return err

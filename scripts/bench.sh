@@ -8,10 +8,12 @@
 #   ./scripts/bench.sh [extra go-test args...]     full run + snapshot
 #   ./scripts/bench.sh --check [go-test args...]   regression gate
 #
-# --check reruns only the key benchmarks, derives the same comparison
-# speedups and memory ratios, and fails (exit 1) if any key entry dropped
-# more than BENCH_CHECK_TOLERANCE percent (default 25) below the latest
-# committed snapshot. Speedups and allocation ratios compare two legs
+# --check reruns only the key benchmarks, three times each, derives the
+# same comparison speedups and memory ratios from the median ns/op (and
+# B/op, allocs/op) of every leg, and fails (exit 1) if any key entry
+# dropped more than BENCH_CHECK_TOLERANCE percent (default 25) below the
+# latest committed snapshot. The median keeps one CPU-steal burst on a
+# shared host from failing the gate. Speedups and allocation ratios compare two legs
 # measured in the same run, so they transfer across machines — absolute
 # ns/op does not. No snapshot is written in check mode; CI runs it as the
 # perf smoke.
@@ -39,7 +41,7 @@ if [ "$check" = 1 ]; then
     # Key benches only: every leg a checked speedup is derived from.
     benchre='^(BenchmarkPreparedRepair|BenchmarkForkVsClone|BenchmarkStepSearch|BenchmarkServerThroughput|BenchmarkSessionUpdate|BenchmarkDeleteMaintenance|BenchmarkColumnarVsRow)'
     echo "running key benchmarks for the regression check..."
-    go test -bench="$benchre" -benchmem -run='^$' "$@" . > "$raw"
+    go test -bench="$benchre" -benchmem -run='^$' -count=3 "$@" . > "$raw"
 else
     echo "running benchmarks (this regenerates every paper table/figure)..."
     # No pipe into tee: plain sh has no pipefail, and a masked go-test
@@ -49,28 +51,30 @@ fi
 cat "$raw"
 
 # Convert `go test -bench` lines into a JSON array of
-# {name, iterations, ns_per_op, bytes_per_op, allocs_per_op}, then append
-# derived comparison entries: the prepared-vs-unprepared, CoW, serving,
-# and mutable-session speedups the respective subsystems exist for
-# (speedup > 1 means the first leg is faster).
+# {name, iterations, ns_per_op, bytes_per_op, allocs_per_op}, one entry
+# per benchmark (the median of its runs when -count > 1; iterations are
+# those of the median-ns run), then append derived comparison entries: the
+# prepared-vs-unprepared, CoW, serving, and mutable-session speedups the
+# respective subsystems exist for (speedup > 1 means the first leg is
+# faster).
 awk -v date="$date" '
-BEGIN { print "[" }
+# median of the k values v[name, 1..k] (numeric; lower middle for even k).
+function median(v, name, k,    i, j, t, a) {
+    for (i = 1; i <= k; i++) a[i] = v[name, i] + 0
+    for (i = 2; i <= k; i++)
+        for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
+    return a[int((k + 1) / 2)]
+}
 /^Benchmark/ {
-    name = $1; iters = $2; nsv = $3
+    name = $1
     sub(/-[0-9]+$/, "", name)  # strip the GOMAXPROCS suffix for stable names
-    ns[name] = nsv
-    bytes = ""; allocs = ""
+    if (!(name in runs)) order[++nb] = name
+    k = ++runs[name]
+    it[name, k] = $2; nsr[name, k] = $3
     for (i = 4; i <= NF; i++) {
-        if ($(i+1) == "B/op")      bytes = $i
-        if ($(i+1) == "allocs/op") allocs = $i
+        if ($(i+1) == "B/op")      byr[name, k] = $i
+        if ($(i+1) == "allocs/op") alr[name, k] = $i
     }
-    if (bytes != "")  by[name] = bytes
-    if (allocs != "") al[name] = allocs
-    if (n++) printf ",\n"
-    printf "  {\"date\": \"%s\", \"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", date, name, iters, nsv
-    if (bytes != "")  printf ", \"bytes_per_op\": %s", bytes
-    if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
-    printf "}"
 }
 function ratio(label, fast, slow) {
     if (fast in ns && slow in ns && ns[fast] + 0 > 0) {
@@ -92,6 +96,17 @@ function memratio(label, lean, heavy) {
     }
 }
 END {
+    print "["
+    for (b = 1; b <= nb; b++) {
+        name = order[b]; k = runs[name]
+        ns[name] = median(nsr, name, k)
+        for (i = 1; i <= k; i++) if (nsr[name, i] + 0 == ns[name]) { iters = it[name, i]; break }
+        if (n++) printf ",\n"
+        printf "  {\"date\": \"%s\", \"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", date, name, iters, ns[name]
+        if ((name, 1) in byr) { by[name] = median(byr, name, k); printf ", \"bytes_per_op\": %s", by[name] }
+        if ((name, 1) in alr) { al[name] = median(alr, name, k); printf ", \"allocs_per_op\": %s", al[name] }
+        printf "}"
+    }
     ratio("comparison/prepared_vs_unprepared_small", \
           "BenchmarkPreparedRepair/small/prepared", "BenchmarkPreparedRepair/small/unprepared")
     ratio("comparison/prepared_vs_unprepared_mas", \
