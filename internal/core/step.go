@@ -92,31 +92,16 @@ func runStepGreedy(ctx context.Context, db *engine.Database, prep *datalog.Prepa
 	}
 	benefits := graph.Benefits()
 
-	// Group the heads by layer (derivation order within a layer), then
-	// order each layer by benefit, descending; the stable sort keeps
-	// derivation order among equal benefits.
-	numLayers := graph.NumLayers()
-	layerStart := make([]int32, numLayers+2)
-	for _, h := range graph.Heads() {
-		layerStart[graph.Layer(h)+1]++
-	}
-	for l := 1; l <= numLayers+1; l++ {
-		layerStart[l] += layerStart[l-1]
-	}
-	byLayer := make([]int32, len(graph.Heads()))
-	fill := slices.Clone(layerStart)
-	for _, h := range graph.Heads() {
-		l := graph.Layer(h)
-		byLayer[fill[l]] = h
-		fill[l]++
-	}
-	if !opts.IgnoreBenefits {
-		for l := 1; l <= numLayers; l++ {
-			slices.SortStableFunc(byLayer[layerStart[l]:layerStart[l+1]], func(a, b int32) int {
-				return cmp.Compare(benefits[b], benefits[a])
-			})
+	// Visit order: layer by layer; within a layer by benefit, descending
+	// (unless ablated), then derivation order — the sort is stable and the
+	// heads start in derivation order.
+	byLayer := slices.Clone(graph.Heads())
+	slices.SortStableFunc(byLayer, func(a, b int32) int {
+		if c := cmp.Compare(graph.Layer(a), graph.Layer(b)); c != 0 || opts.IgnoreBenefits {
+			return c
 		}
-	}
+		return cmp.Compare(benefits[b], benefits[a])
+	})
 	ppDur := time.Since(ppStart)
 	if err := ctxErr(ctx); err != nil {
 		return nil, nil, err
@@ -183,7 +168,7 @@ func runStepGreedy(ctx context.Context, db *engine.Database, prep *datalog.Prepa
 	updDur := time.Since(updStart)
 
 	res := newResult(SemStep, deleted)
-	res.Rounds = numLayers
+	res.Rounds = graph.NumLayers()
 	res.GraphAssignments = nc
 	res.Timing = Breakdown{
 		Eval:        endRes.Timing.Eval,
